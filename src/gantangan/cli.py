@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,12 +51,16 @@ EXIT_IO = 4
 
 _COMMANDS = ("simulate", "equilibria", "sweep", "portrait")
 
-_TRAJECTORY_HEADER = "t,x_alpha,x_beta,x_gamma,u,v,phi"
-_EQUILIBRIA_HEADER = (
-    "x_alpha,x_beta,x_gamma,residual,eig1_re,eig1_im,eig2_re,eig2_im,stability,location"
+# One row schema per command: the CSV header and the JSON keys of a record.
+_TRAJECTORY_COLUMNS = ("t", "x_alpha", "x_beta", "x_gamma", "u", "v", "phi")
+_EQUILIBRIA_COLUMNS = (
+    "x_alpha", "x_beta", "x_gamma", "residual",
+    "eig1_re", "eig1_im", "eig2_re", "eig2_im", "stability", "location",
 )
-_SWEEP_HEADER = "p_es,m_ss,attractor,fixed_point_count,end_x_alpha,end_x_beta,end_x_gamma"
-_PORTRAIT_HEADER = "seed," + _TRAJECTORY_HEADER
+_SWEEP_COLUMNS = (
+    "p_es", "m_ss", "attractor", "fixed_point_count", "end_x_alpha", "end_x_beta", "end_x_gamma",
+)
+_PORTRAIT_COLUMNS = ("seed",) + _TRAJECTORY_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -270,15 +275,36 @@ def parse_args(argv: list[str]) -> RunConfig:
     return cfg
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: float | int | str) -> str:
+    """CSV text of one cell: floats to 9 significant digits, without a
+    negative-zero sign; ints and labels as they are."""
+    if isinstance(value, (int, str)):
+        return str(value)
     v = float(value)
     if v == 0.0:
         v = 0.0  # drop any negative-zero sign
     return format(v, ".9g")
 
 
-def _jnum(value: float) -> float:
+def _jnum(value: float | int | str) -> float | int | str:
+    """JSON value of one cell: floats rounded exactly as in the CSV."""
+    if isinstance(value, (int, str)):
+        return value
     return float(_fmt(value))
+
+
+def _csv(columns: tuple[str, ...], rows: Iterable[Sequence]) -> str:
+    lines = [",".join(columns)]
+    lines += (",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _records(columns: tuple[str, ...], rows: Iterable[Sequence]) -> list[dict]:
+    return [dict(zip(columns, map(_jnum, row))) for row in rows]
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _write_text(out: str, text: str) -> None:
@@ -289,140 +315,84 @@ def _write_text(out: str, text: str) -> None:
         fh.write(text)
 
 
-def _trajectory_rows(traj: Trajectory) -> list[str]:
-    uv = ternary_coordinates(traj.states)
-    phi = trajectory_phi(traj)
-    rows = []
-    for k in range(len(traj)):
-        xa, xb, xg = traj.states[k]
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (traj.times[k], xa, xb, xg, uv[k, 0], uv[k, 1], phi[k])
-            )
-        )
-    return rows
+def _trajectory_table(traj: Trajectory) -> Iterator[list[float]]:
+    """Rows of ``_TRAJECTORY_COLUMNS``, read one at a time from a (k, 7) array."""
+    table = np.column_stack(
+        [traj.times, traj.states, ternary_coordinates(traj.states), trajectory_phi(traj)]
+    )
+    return (row.tolist() for row in table)
 
 
-def _trajectory_points(traj: Trajectory) -> list[dict]:
-    uv = ternary_coordinates(traj.states)
-    phi = trajectory_phi(traj)
-    return [
-        {
-            "t": _jnum(traj.times[k]),
-            "x_alpha": _jnum(traj.states[k, 0]),
-            "x_beta": _jnum(traj.states[k, 1]),
-            "x_gamma": _jnum(traj.states[k, 2]),
-            "u": _jnum(uv[k, 0]),
-            "v": _jnum(uv[k, 1]),
-            "phi": _jnum(phi[k]),
-        }
-        for k in range(len(traj))
-    ]
-
-
-def _params_json(params: GantanganParams) -> dict:
-    return {"p_es": params.p_es, "m_ss": params.m_ss, "n": params.n}
+def _run_json(traj: Trajectory) -> dict:
+    params = traj.params
+    return {
+        "params": {"p_es": params.p_es, "m_ss": params.m_ss, "n": params.n},
+        "mu": traj.mu,
+        "dt": traj.dt,
+    }
 
 
 def emit_trajectory(traj: Trajectory, fmt: str = "csv", out: str = "-") -> None:
     """Serialize one trajectory; CSV rows are ordered by time."""
+    rows = _trajectory_table(traj)
     if fmt == "csv":
-        text = "\n".join([_TRAJECTORY_HEADER] + _trajectory_rows(traj)) + "\n"
+        text = _csv(_TRAJECTORY_COLUMNS, rows)
     else:
-        doc = {
-            "params": _params_json(traj.params),
-            "mu": traj.mu,
-            "dt": traj.dt,
-            "points": _trajectory_points(traj),
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json({**_run_json(traj), "points": _records(_TRAJECTORY_COLUMNS, rows)})
     _write_text(out, text)
 
 
-def _equilibria_row(report: FixedPointReport) -> str:
-    x = report.state.x
+def _equilibria_row(report: FixedPointReport) -> tuple:
     e1, e2 = report.eigenvalues
-    values = [x[0], x[1], x[2], report.residual, e1.real, e1.imag, e2.real, e2.imag]
-    return ",".join([_fmt(v) for v in values] + [report.stability.value, report.location.value])
+    return (
+        *report.state.x, report.residual, e1.real, e1.imag, e2.real, e2.imag,
+        report.stability.value, report.location.value,
+    )
 
 
 def emit_equilibria(reports: list[FixedPointReport], fmt: str = "csv", out: str = "-") -> None:
     """Serialize stationary-state reports, sorted by (x_alpha, x_beta) descending."""
     ordered = sorted(reports, key=lambda r: (-r.state.x[0], -r.state.x[1]))
+    rows = map(_equilibria_row, ordered)
     if fmt == "csv":
-        text = "\n".join([_EQUILIBRIA_HEADER] + [_equilibria_row(r) for r in ordered]) + "\n"
+        text = _csv(_EQUILIBRIA_COLUMNS, rows)
     else:
-        doc = {
-            "points": [
-                {
-                    "x_alpha": _jnum(r.state.x[0]),
-                    "x_beta": _jnum(r.state.x[1]),
-                    "x_gamma": _jnum(r.state.x[2]),
-                    "residual": _jnum(r.residual),
-                    "eig1_re": _jnum(r.eigenvalues[0].real),
-                    "eig1_im": _jnum(r.eigenvalues[0].imag),
-                    "eig2_re": _jnum(r.eigenvalues[1].real),
-                    "eig2_im": _jnum(r.eigenvalues[1].imag),
-                    "stability": r.stability.value,
-                    "location": r.location.value,
-                }
-                for r in ordered
-            ]
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json({"points": _records(_EQUILIBRIA_COLUMNS, rows)})
     _write_text(out, text)
+
+
+def _sweep_row(cell: SweepCell) -> tuple:
+    return (
+        cell.p_es, cell.m_ss, cell.attractor_label.value, cell.fixed_point_count,
+        *cell.endpoint.x,
+    )
 
 
 def emit_sweep(cells: list[SweepCell], fmt: str = "csv", out: str = "-") -> None:
     """Serialize sweep cells in their row-major (p outer, m inner) order."""
+    rows = map(_sweep_row, cells)
     if fmt == "csv":
-        rows = [
-            ",".join(
-                [_fmt(c.p_es), _fmt(c.m_ss), c.attractor_label.value, str(c.fixed_point_count)]
-                + [_fmt(v) for v in c.endpoint.x]
-            )
-            for c in cells
-        ]
-        text = "\n".join([_SWEEP_HEADER] + rows) + "\n"
+        text = _csv(_SWEEP_COLUMNS, rows)
     else:
-        doc = {
-            "cells": [
-                {
-                    "p_es": _jnum(c.p_es),
-                    "m_ss": _jnum(c.m_ss),
-                    "attractor": c.attractor_label.value,
-                    "fixed_point_count": c.fixed_point_count,
-                    "end_x_alpha": _jnum(c.endpoint.x[0]),
-                    "end_x_beta": _jnum(c.endpoint.x[1]),
-                    "end_x_gamma": _jnum(c.endpoint.x[2]),
-                }
-                for c in cells
-            ]
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json({"cells": _records(_SWEEP_COLUMNS, rows)})
     _write_text(out, text)
 
 
 def emit_portrait(trajectories: list[Trajectory], fmt: str = "csv", out: str = "-") -> None:
     """Serialize a trajectory bundle with a leading seed index column."""
     if fmt == "csv":
-        lines = [_PORTRAIT_HEADER]
-        for idx, traj in enumerate(trajectories):
-            lines += [f"{idx},{row}" for row in _trajectory_rows(traj)]
-        text = "\n".join(lines) + "\n"
+        rows = (
+            [seed, *row]
+            for seed, traj in enumerate(trajectories)
+            for row in _trajectory_table(traj)
+        )
+        text = _csv(_PORTRAIT_COLUMNS, rows)
     else:
-        first = trajectories[0]
-        doc = {
-            "params": _params_json(first.params),
-            "mu": first.mu,
-            "dt": first.dt,
-            "trajectories": [
-                {"seed": idx, "points": _trajectory_points(traj)}
-                for idx, traj in enumerate(trajectories)
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        bundle = [
+            {"seed": seed, "points": _records(_TRAJECTORY_COLUMNS, _trajectory_table(traj))}
+            for seed, traj in enumerate(trajectories)
+        ]
+        text = _json({**_run_json(trajectories[0]), "trajectories": bundle})
     _write_text(out, text)
 
 

@@ -87,8 +87,9 @@ def uniform_kernel(mu: float) -> MutationKernel:
 def replicator_field(x: np.ndarray, payoff: np.ndarray) -> np.ndarray:
     """Pure replicator velocity x_i (f_i - phi) at a raw frequency vector.
 
-    Accepts vectors slightly off the simplex, as needed by finite-difference
-    Jacobians and integrator stages. No validation is performed.
+    Accepts vectors slightly off the simplex, as integrator stages produce.
+    No validation is performed. Its Jacobian is closed-form (see
+    ``equilibria.jacobian``), not a finite difference of this function.
     """
     f = payoff @ x
     return x * (f - x @ f)
@@ -183,6 +184,8 @@ def integrate(
     """
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be positive, got {dt}")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < dt:
         raise ValueError(f"t_end must be at least one step, got t_end={t_end}, dt={dt}")
     kernel = uniform_kernel(mu)

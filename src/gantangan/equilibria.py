@@ -63,9 +63,6 @@ DEDUP_RADIUS = 1e-6
 # ties such as p_es = m_ss produce genuine zero eigenvalues.
 EIGENVALUE_ZERO_BAND = 1e-9
 
-# Finite-difference step for the Jacobian.
-JACOBIAN_STEP = 1e-6
-
 # Barycentric subdivisions used to seed Newton refinement under mutation.
 SEED_GRID = 50
 
@@ -144,21 +141,23 @@ _TANGENT = _tangent_basis()
 _TANGENT.flags.writeable = False
 
 
+def _jacobian(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -> np.ndarray:
+    f = payoff @ x
+    return (
+        q.T @ (np.diag(f) + x[:, None] * payoff)
+        - (x @ f) * np.eye(3)
+        - np.outer(x, f + payoff.T @ x)
+    )
+
+
 def jacobian(state: PopulationState, params: GantanganParams, mu: float = 0.0) -> np.ndarray:
-    """Central finite-difference Jacobian of the velocity field, step 1e-6."""
-    payoff = build_payoff(params)
-    q = uniform_kernel(mu).q
-    x = state.x
-    jac = np.empty((3, 3))
-    h = JACOBIAN_STEP
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        jac[:, k] = (
-            replicator_mutator_field(x + e, payoff, q)
-            - replicator_mutator_field(x - e, payoff, q)
-        ) / (2.0 * h)
-    return jac
+    """Closed-form Jacobian of the velocity field at ``state``.
+
+    For F(x) = Q^T (x * Ax) - x (x^T A x) this is
+    DF = Q^T (diag(Ax) + diag(x) A) - phi I - x (Ax + A^T x)^T
+    (Hofbauer & Sigmund 1998).
+    """
+    return _jacobian(state.x, build_payoff(params), uniform_kernel(mu).q)
 
 
 def _residual(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -> float:
@@ -257,46 +256,43 @@ def _interior_candidate(payoff: np.ndarray) -> list[np.ndarray]:
     return []
 
 
-def _reduced_field(z: np.ndarray, payoff: np.ndarray, q: np.ndarray) -> np.ndarray:
-    x = np.array([z[0], z[1], 1.0 - z[0] - z[1]])
-    return replicator_mutator_field(x, payoff, q)[:2]
+def _lift(z: np.ndarray) -> np.ndarray:
+    return np.array([z[0], z[1], 1.0 - z[0] - z[1]])
 
 
 def _newton_refine(
     seed: np.ndarray, payoff: np.ndarray, q: np.ndarray
 ) -> np.ndarray | None:
     """Damped Newton on the two free coordinates; returns the full simplex
-    point on convergence, None when the seed diverges or leaves the domain."""
+    point on convergence, None when the seed diverges or leaves the domain.
+
+    Substituting x_gamma = 1 - z0 - z1 turns the Jacobian of the first two
+    velocity components into J[:2, :2] - J[:2, 2:].
+    """
     z = seed.astype(float).copy()
-    fval = _reduced_field(z, payoff, q)
+    x = _lift(z)
+    fval = replicator_mutator_field(x, payoff, q)[:2]
     norm = float(np.max(np.abs(fval)))
-    h = 1e-7
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_RESIDUAL:
-            x = np.array([z[0], z[1], 1.0 - z[0] - z[1]])
             if x.min() < -1e-9:
                 return None
             np.clip(x, 0.0, None, out=x)
             return x / x.sum()
-        jac = np.empty((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            jac[:, k] = (
-                _reduced_field(z + e, payoff, q) - _reduced_field(z - e, payoff, q)
-            ) / (2.0 * h)
+        jac = _jacobian(x, payoff, q)
         try:
-            step = np.linalg.solve(jac, -fval)
+            step = np.linalg.solve(jac[:2, :2] - jac[:2, 2:], -fval)
         except np.linalg.LinAlgError:
             return None
         lam = 1.0
         while lam >= 1.0 / 1024.0:
             trial = z + lam * step
             if trial.min() >= -0.25 and trial.sum() <= 1.25:
-                ftrial = _reduced_field(trial, payoff, q)
+                xtrial = _lift(trial)
+                ftrial = replicator_mutator_field(xtrial, payoff, q)[:2]
                 tnorm = float(np.max(np.abs(ftrial)))
                 if tnorm < norm:
-                    z, fval, norm = trial, ftrial, tnorm
+                    z, x, fval, norm = trial, xtrial, ftrial, tnorm
                     break
             lam *= 0.5
         else:
@@ -420,8 +416,7 @@ def _grid_values(name: str, grid: tuple[float, float, int]) -> np.ndarray:
 def ternary_project(state: PopulationState) -> TernaryPoint:
     """Triangle coordinates with alpha at (0, 0), beta at (1, 0), and gamma
     at the apex (0.5, sqrt(3)/2)."""
-    x = state.x
-    return TernaryPoint(float(x[1] + 0.5 * x[2]), float(_SQRT3_2 * x[2]))
+    return TernaryPoint(*ternary_coordinates(state.x[None])[0].tolist())
 
 
 def ternary_coordinates(states: np.ndarray) -> np.ndarray:

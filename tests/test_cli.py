@@ -269,3 +269,40 @@ def test_portrait_json_output(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(_read(out))
     assert [t["seed"] for t in doc["trajectories"]] == [0, 1, 2]
+
+
+def test_infinite_horizon_is_domain_error(capsys):
+    for command in ("simulate", "portrait"):
+        assert main([command, "--p-es", "2", "--m-ss", "1", "--t-end", "inf"]) == EXIT_DOMAIN
+    capsys.readouterr()
+
+
+def _json_records(doc: dict) -> list[dict]:
+    if "trajectories" in doc:
+        return [{"seed": t["seed"], **p} for t in doc["trajectories"] for p in t["points"]]
+    return doc["points"] if "points" in doc else doc["cells"]
+
+
+def test_json_records_equal_csv_rows(tmp_path):
+    commands = [
+        ["simulate", "--p-es", "2", "--m-ss", "1", "--t-end", "0.5"],
+        ["equilibria", "--p-es", "1", "--m-ss", "3"],
+        ["equilibria", "--p-es", "2", "--m-ss", "1", "--mu", "0.05"],
+        ["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2"],
+        ["portrait", "--p-es", "2", "--m-ss", "1", "--seeds", "2", "--t-end", "0.3"],
+    ]
+    for argv in commands:
+        csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main(argv + ["--out", str(csv_out)]) == EXIT_OK
+        assert main(argv + ["--format", "json", "--out", str(json_out)]) == EXIT_OK
+        reader = csv.DictReader(io.StringIO(_read(csv_out)))
+        rows = list(reader)
+        records = _json_records(json.loads(_read(json_out)))
+        assert rows and len(rows) == len(records), argv
+        for row, record in zip(rows, records):
+            assert list(record) == reader.fieldnames, argv
+            for key, value in record.items():
+                if isinstance(value, str):
+                    assert row[key] == value, (argv, key)
+                else:
+                    assert type(value)(row[key]) == value, (argv, key)

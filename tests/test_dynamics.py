@@ -175,7 +175,10 @@ def test_oversized_step_raises():
         )
 
 
-@pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(dt=-0.1), dict(dt=1.0, t_end=0.5), dict(mu=1.0)])
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(dt=0.0), dict(dt=-0.1), dict(dt=1.0, t_end=0.5), dict(mu=1.0), dict(t_end=float("inf"))],
+)
 def test_integrate_rejects_bad_inputs(kwargs):
     base = dict(mu=0.0, dt=0.01, t_end=1.0)
     base.update(kwargs)

@@ -145,17 +145,27 @@ def test_jacobian_matches_analytic_directional_derivative():
         jac = jacobian(state, params, mu)
         v = frame @ rng.normal(size=2)
         exact = directional_derivative(state.x, v, build_payoff(params), uniform_kernel(mu).q)
-        assert np.linalg.norm(jac @ v - exact) / np.linalg.norm(exact) <= 1e-5
+        assert np.linalg.norm(jac @ v - exact) / np.linalg.norm(exact) <= 1e-12
 
 
 def test_vertex_eigenvalues_are_payoff_differences():
     frame = _tangent_frame()
     jac = jacobian(PopulationState.vertex(Strategy.ALPHA), GantanganParams(2, 1, 1))
     eigs = np.sort(np.linalg.eigvals(frame.T @ jac @ frame).real)
-    assert np.allclose(eigs, [-1.5, -1.0], rtol=0.0, atol=1e-6)
+    assert np.allclose(eigs, [-1.5, -1.0], rtol=0.0, atol=1e-12)
     jac = jacobian(PopulationState.vertex(Strategy.GAMMA), GantanganParams(2, 1, 1))
     eigs = np.sort(np.linalg.eigvals(frame.T @ jac @ frame).real)
-    assert np.allclose(eigs, [1.0, 1.0], rtol=0.0, atol=1e-6)
+    assert np.allclose(eigs, [1.0, 1.0], rtol=0.0, atol=1e-12)
+
+
+def test_tie_beta_vertex_eigenvalues_are_exactly_zero():
+    # At p_es = m_ss the beta vertex has a genuine double zero eigenvalue; a
+    # closed-form Jacobian keeps it at rounding level, far inside the 1e-9
+    # nonhyperbolic band.
+    reports = find_fixed_points(GantanganParams(2, 2, 1), mu=0.0)
+    beta = next(r for r in reports if r.location is Location.VERTEX_BETA)
+    assert beta.stability is Stability.NONHYPERBOLIC
+    assert all(abs(e.real) <= 1e-14 for e in beta.eigenvalues)
 
 
 # -------------------------------------------------------------- stability
