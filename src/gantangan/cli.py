@@ -15,14 +15,16 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import Trajectory, integrate, trajectory_phi
+from .dynamics import Trajectory, horizon_steps, integrate, trajectory_phi, uniform_kernel
 from .equilibria import (
     FixedPointReport,
     SweepCell,
+    check_range,
+    check_seed_count,
     find_fixed_points,
     portrait,
     sweep,
@@ -49,8 +51,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-_COMMANDS = ("simulate", "equilibria", "sweep", "portrait")
-
 # One row schema per command: the CSV header and the JSON keys of a record.
 _TRAJECTORY_COLUMNS = ("t", "x_alpha", "x_beta", "x_gamma", "u", "v", "phi")
 _EQUILIBRIA_COLUMNS = (
@@ -63,95 +63,92 @@ _SWEEP_COLUMNS = (
 _PORTRAIT_COLUMNS = ("seed",) + _TRAJECTORY_COLUMNS
 
 
+def _reals(value) -> tuple[float, float, float]:
+    a, b, c = value
+    return (float(a), float(b), float(c))
+
+
+def _range(value) -> tuple[float, float, int]:
+    lo, hi, steps = value
+    return (float(lo), float(hi), int(steps))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _option(default, convert, *, sep: str | None = None, key: str | None = None):
+    """A config field: ``convert`` turns a config-file value, or the flag's
+    text split at ``sep``, into the field's value; ``key`` names it in config
+    files and --dump-config when it differs from the field name."""
+    return field(default=default, metadata={"convert": convert, "sep": sep, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs for one CLI run."""
+    """Inputs for one CLI run; its fields are the config-file schema."""
 
     command: str
-    p_es: float | None = None
-    m_ss: float | None = None
-    n: float = 1.0
-    mu: float = 0.0
-    dt: float = 0.01
-    t_end: float = 500.0
-    x0: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    p_grid: tuple[float, float, int] | None = None
-    m_grid: tuple[float, float, int] | None = None
-    seeds: int = 9
-    out: str = "-"
-    fmt: str = "csv"
+    p_es: float | None = _option(None, float)
+    m_ss: float | None = _option(None, float)
+    n: float = _option(1.0, float)
+    mu: float = _option(0.0, float)
+    dt: float = _option(0.01, float)
+    t_end: float = _option(500.0, float)
+    x0: tuple[float, float, float] = _option((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), _reals, sep=",")
+    p_grid: tuple[float, float, int] | None = _option(None, _range, sep=":")
+    m_grid: tuple[float, float, int] | None = _option(None, _range, sep=":")
+    seeds: int = _option(9, int)
+    out: str = _option("-", _text)
+    fmt: str = _option("csv", _text, key="format")
 
     def validate(self) -> None:
-        """Check every module precondition before any computation runs."""
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.command in ("simulate", "equilibria", "portrait"):
-            if self.p_es is None or self.p_es <= 0:
-                raise ValueError(f"--p-es must be > 0 (p_ES > 0); got {self.p_es}")
-            if self.m_ss is None or self.m_ss <= 0:
-                raise ValueError(f"--m-ss must be > 0 (m_SS > 0); got {self.m_ss}")
-        if self.n <= 0:
-            raise ValueError(f"--n must be > 0; got {self.n}")
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError(f"--mu must lie in [0, 1); got {self.mu}")
-        if self.dt <= 0:
-            raise ValueError(f"--dt must be > 0; got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError(f"--t-end must be at least --dt; got {self.t_end}")
-        if self.command == "sweep":
-            for name, grid in (("p", self.p_grid), ("m", self.m_grid)):
-                if grid is None:
-                    raise ValueError(f"sweep needs --grid twice (missing the {name} grid)")
-                lo, hi, steps = grid
-                if not 0 < lo < hi:
-                    raise ValueError(f"--grid must satisfy 0 < lo < hi; got {lo}:{hi}:{steps}")
-                if steps < 2:
-                    raise ValueError(f"--grid needs steps >= 2; got {lo}:{hi}:{steps}")
-        if self.command == "portrait" and self.seeds < 1:
-            raise ValueError(f"--seeds must be >= 1; got {self.seeds}")
+        """Run the library's own checks on every input, each message led by
+        the flags it concerns. Only --format, a CLI concept, is checked here."""
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"--format must be csv or json; got {self.fmt}")
-        PopulationState(np.array(self.x0))
+        if self.command == "sweep":
+            _check("--grid", check_range, "p_range", self.p_grid)
+            _check("--grid", check_range, "m_range", self.m_grid)
+            _check("--grid/--n", GantanganParams, self.p_grid[0], self.m_grid[0], self.n)
+        else:
+            _check("--p-es/--m-ss/--n", GantanganParams, self.p_es, self.m_ss, self.n)
+        _check("--mu", uniform_kernel, self.mu)
+        _check("--dt/--t-end", horizon_steps, self.dt, self.t_end)
+        _check("--x0", PopulationState, np.array(self.x0))
+        _check("--seeds", check_seed_count, self.seeds)
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "p_es": self.p_es,
-            "m_ss": self.m_ss,
-            "n": self.n,
-            "mu": self.mu,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "x0": list(self.x0),
-            "p_grid": list(self.p_grid) if self.p_grid else None,
-            "m_grid": list(self.m_grid) if self.m_grid else None,
-            "seeds": self.seeds,
-            "out": self.out,
-            "format": self.fmt,
-        }
+        """The config as --dump-config prints it, under the config-file keys."""
+        return {_key(f): getattr(self, f.name) for f in fields(self)}
 
 
-def _parse_x0(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"--x0 needs three comma-separated values, got {text!r}")
+def _key(f: Field) -> str:
+    return f.metadata.get("key") or f.name
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def _check(flags: str, rule, *args) -> None:
     try:
-        a, b, c = (float(p) for p in parts)
+        rule(*args)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--x0 values must be numbers: {exc}") from None
-    return (a, b, c)
+        raise ValueError(f"{flags}: {exc}") from None
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"--grid needs lo:hi:steps, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--grid values malformed: {exc}") from None
-    return (lo, hi, steps)
+def _flag_type(name: str):
+    """argparse ``type=`` for a field: its converter, applied to the flag's
+    text split at the field's separator."""
+    convert, sep = _FIELDS[name].metadata["convert"], _FIELDS[name].metadata["sep"]
+
+    def parse(text: str):
+        return convert(text if sep is None else text.split(sep))
+
+    parse.__name__ = name  # argparse names the type in its error message
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,48 +158,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flag(p: argparse.ArgumentParser, name: str, text: str, **kwargs) -> None:
+        option = "--" + _key(_FIELDS[name]).replace("_", "-")
+        p.add_argument(option, dest=name, type=_flag_type(name), default=None, help=text, **kwargs)
+
     def common(p: argparse.ArgumentParser, *, game_params: bool, flow: bool) -> None:
         if game_params:
-            p.add_argument("--p-es", type=float, default=None, help="economic return, > 0")
-            p.add_argument("--m-ss", type=float, default=None, help="social gain, > 0")
-        p.add_argument("--n", type=float, default=None, help="payoff scale factor (default 1)")
-        p.add_argument("--mu", type=float, default=None, help="mutation rate in [0, 1) (default 0)")
+            flag(p, "p_es", "economic return, > 0")
+            flag(p, "m_ss", "social gain, > 0")
+        flag(p, "n", "payoff scale factor (default 1)")
+        flag(p, "mu", "mutation rate in [0, 1) (default 0)")
         if flow:
-            p.add_argument("--dt", type=float, default=None, help="integration step (default 0.01)")
-            p.add_argument("--t-end", type=float, default=None, help="integration horizon (default 500)")
-        p.add_argument("--out", default=None, help="output path, or - for stdout (default -)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
-                       help="output format (default csv)")
+            flag(p, "dt", "integration step (default 0.01)")
+            flag(p, "t_end", "integration horizon, a whole number of steps (default 500)")
+        flag(p, "out", "output path, or - for stdout (default -)")
+        flag(p, "fmt", "output format (default csv)", choices=("csv", "json"))
         p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
         p.add_argument("--dump-config", action="store_true",
                        help="print the resolved config as JSON and exit")
 
     p_sim = sub.add_parser("simulate", help="integrate one trajectory")
     common(p_sim, game_params=True, flow=True)
-    p_sim.add_argument("--x0", type=_parse_x0, default=None,
-                       help="initial frequencies a,b,c (default uniform)")
+    flag(p_sim, "x0", "initial frequencies a,b,c (default uniform)")
 
     p_eq = sub.add_parser("equilibria", help="enumerate stationary states")
     common(p_eq, game_params=True, flow=False)
 
     p_sweep = sub.add_parser("sweep", help="attractor map over a (p_es, m_ss) grid")
     common(p_sweep, game_params=False, flow=False)
-    p_sweep.add_argument("--grid", type=_parse_grid, action="append", default=None,
+    p_sweep.add_argument("--grid", type=_flag_type("p_grid"), action="append", default=None,
                          metavar="LO:HI:STEPS", help="given twice: p grid, then m grid")
-    p_sweep.add_argument("--x0", type=_parse_x0, default=None,
-                         help="initial frequencies a,b,c (default uniform)")
+    flag(p_sweep, "x0", "initial frequencies a,b,c (default uniform)")
 
     p_port = sub.add_parser("portrait", help="trajectory bundle from a seed lattice")
     common(p_port, game_params=True, flow=True)
-    p_port.add_argument("--seeds", type=int, default=None, help="number of lattice seeds (default 9)")
+    flag(p_port, "seeds", "number of lattice seeds (default 9)")
 
     return parser
-
-
-_CONFIG_KEYS = {
-    "command", "p_es", "m_ss", "n", "mu", "dt", "t_end", "x0",
-    "p_grid", "m_grid", "seeds", "out", "format",
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -210,62 +202,48 @@ def _load_config_file(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {_key(f) for f in _FIELDS.values()}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
+def _from_file(f: Field, value):
+    try:
+        return f.metadata["convert"](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key {_key(f)!r}: malformed value {value!r} ({exc})") from None
+
+
 def _resolve(argv: list[str]) -> tuple[RunConfig, bool]:
     parser = _build_parser()
     ns = parser.parse_args(argv)
+    flags = vars(ns)
+    grids = flags.get("grid")
+    if grids is not None:
+        if len(grids) != 2:
+            parser.error(f"sweep needs --grid exactly twice (p then m), got {len(grids)}")
+        flags["p_grid"], flags["m_grid"] = grids
     file_vals = _load_config_file(ns.config) if ns.config else {}
 
-    merged: dict = {}
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    for name, json_key in (
-        ("p_es", "p_es"), ("m_ss", "m_ss"), ("n", "n"), ("mu", "mu"),
-        ("dt", "dt"), ("t_end", "t_end"), ("x0", "x0"),
-        ("p_grid", "p_grid"), ("m_grid", "m_grid"),
-        ("seeds", "seeds"), ("out", "out"), ("fmt", "format"),
-    ):
-        value = defaults[name]
-        if json_key in file_vals and file_vals[json_key] is not None:
-            value = file_vals[json_key]
-        explicit = getattr(ns, name, None)
-        if explicit is not None:
-            value = explicit
-        merged[name] = value
+    # Defaults, then the config file, then explicit flags.
+    values = {}
+    for f in _FIELDS.values():
+        if flags.get(f.name) is not None:
+            values[f.name] = flags[f.name]
+        elif file_vals.get(_key(f)) is not None:
+            values[f.name] = _from_file(f, file_vals[_key(f)])
+    cfg = RunConfig(**values)
 
-    if ns.command == "sweep":
-        grids = getattr(ns, "grid", None)
-        if grids is not None:
-            if len(grids) != 2:
-                parser.error(f"sweep needs --grid exactly twice (p then m), got {len(grids)}")
-            merged["p_grid"], merged["m_grid"] = grids[0], grids[1]
-
-    # JSON round trips lists; the config wants tuples.
-    if merged["x0"] is not None:
-        merged["x0"] = tuple(float(v) for v in merged["x0"])
-    for key in ("p_grid", "m_grid"):
-        if merged[key] is not None:
-            lo, hi, steps = merged[key]
-            merged[key] = (float(lo), float(hi), int(steps))
-    for key in ("p_es", "m_ss", "n", "mu", "dt", "t_end"):
-        if merged[key] is not None:
-            merged[key] = float(merged[key])
-    merged["seeds"] = int(merged["seeds"])
-
-    if ns.command in ("simulate", "equilibria", "portrait"):
-        for flag, key in (("--p-es", "p_es"), ("--m-ss", "m_ss")):
-            if merged[key] is None:
-                parser.error(f"{flag} is required for {ns.command}")
-    if ns.command == "sweep" and (merged["p_grid"] is None or merged["m_grid"] is None):
+    if cfg.command in ("simulate", "equilibria", "portrait"):
+        for flag, value in (("--p-es", cfg.p_es), ("--m-ss", cfg.m_ss)):
+            if value is None:
+                parser.error(f"{flag} is required for {cfg.command}")
+    if cfg.command == "sweep" and (cfg.p_grid is None or cfg.m_grid is None):
         parser.error("sweep needs --grid twice (p then m)")
 
-    cfg = RunConfig(command=ns.command, **merged)
     cfg.validate()
-    return cfg, bool(ns.dump_config)
+    return cfg, ns.dump_config
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -411,7 +389,7 @@ def _run(cfg: RunConfig) -> None:
         params = GantanganParams(cfg.p_es, cfg.m_ss, cfg.n)
         trajs = portrait(params, cfg.mu, cfg.seeds, cfg.dt, cfg.t_end)
         emit_portrait(trajs, cfg.fmt, cfg.out)
-    else:  # pragma: no cover - validate() rejects unknown commands
+    else:  # pragma: no cover - argparse admits only the four commands
         raise ValueError(f"unknown command {cfg.command!r}")
 
 

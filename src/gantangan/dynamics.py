@@ -27,6 +27,7 @@ __all__ = [
     "replicator_field",
     "replicator_mutator_field",
     "derivative",
+    "horizon_steps",
     "integrate",
     "trajectory_phi",
     "CONVERGENCE_RESIDUAL",
@@ -59,6 +60,8 @@ class MutationKernel:
     mu: float
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.mu < 1.0:
+            raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
         q = np.array(self.q, dtype=float)
         if q.shape != (3, 3):
             raise ValueError(f"kernel must be 3x3, got shape {q.shape}")
@@ -67,8 +70,6 @@ class MutationKernel:
         sums = q.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
             raise ValueError(f"kernel rows must sum to 1 within {ROW_SUM_TOL:g}, got {sums.tolist()}")
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "mu", float(self.mu))
@@ -77,8 +78,6 @@ class MutationKernel:
 def uniform_kernel(mu: float) -> MutationKernel:
     """Kernel keeping the parent strategy with probability 1 - mu and
     splitting mu evenly over the other two; mu = 0 gives the identity."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu must lie in [0, 1), got {mu}")
     q = np.full((3, 3), mu / 2.0)
     np.fill_diagonal(q, 1.0 - mu)
     return MutationKernel(q, float(mu))
@@ -163,6 +162,22 @@ class Trajectory:
         return self.state(-1)
 
 
+def horizon_steps(dt: float, t_end: float) -> int:
+    """Number of ``dt`` steps up to ``t_end``, which must be finite and a
+    whole number (within 1e-9) of at least one step."""
+    if dt <= 0.0 or not np.isfinite(dt):
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end < dt:
+        raise ValueError(f"t_end must be at least one step, got t_end={t_end}, dt={dt}")
+    steps = t_end / dt
+    # The quotient overflows to inf for huge t_end / dt; round(inf) would raise.
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"t_end must be a whole number of dt steps, got t_end={t_end}, dt={dt}")
+    return round(steps)
+
+
 def integrate(
     x0: PopulationState,
     params: GantanganParams,
@@ -175,19 +190,15 @@ def integrate(
     """Fixed-step classical RK4 flow of the dynamics starting at ``x0``.
 
     The trajectory stores ``x0`` at t = 0 and the state at every multiple of
-    ``dt`` up to ``t_end``. After each step, negative components are clamped
-    to zero and the vector renormalized to sum 1; a step landing more than
-    ``SIMPLEX_STEP_TOL`` outside the simplex raises :class:`StepSizeError`.
+    ``dt`` up to ``t_end`` (see :func:`horizon_steps`). After each step,
+    negative components are clamped to zero and the vector renormalized to
+    sum 1; a step landing more than ``SIMPLEX_STEP_TOL`` outside the simplex
+    raises :class:`StepSizeError`.
 
     With ``converge_tol`` set, integration stops early once the velocity
     max-norm falls below it; the trajectory then ends at the stop time.
     """
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not np.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end < dt:
-        raise ValueError(f"t_end must be at least one step, got t_end={t_end}, dt={dt}")
+    n_steps = horizon_steps(dt, t_end)
     kernel = uniform_kernel(mu)
     payoff = build_payoff(params)
     if kernel.mu == 0.0:
@@ -199,7 +210,6 @@ def integrate(
         def field(x: np.ndarray) -> np.ndarray:
             return replicator_mutator_field(x, payoff, q)
 
-    n_steps = int(np.floor(t_end / dt + 1e-9))
     states = np.empty((n_steps + 1, 3))
     states[0] = x0.x
     x = x0.x.copy()

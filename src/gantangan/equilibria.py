@@ -42,6 +42,8 @@ __all__ = [
     "ternary_project",
     "ternary_coordinates",
     "interior_lattice",
+    "check_range",
+    "check_seed_count",
     "portrait",
     "RESIDUAL_BOUND",
     "VERTEX_LABEL_TOL",
@@ -190,10 +192,8 @@ def classify_stability(
     both above +1e-9 a SOURCE, one on each side a SADDLE, and anything with a
     real part inside the band is NONHYPERBOLIC.
     """
-    payoff = build_payoff(params)
-    q = uniform_kernel(mu).q
     if residual is None:
-        residual = _residual(state.x, payoff, q)
+        residual = _residual(state.x, build_payoff(params), uniform_kernel(mu).q)
     if residual > RESIDUAL_BOUND:
         raise ValueError(
             f"candidate is not stationary: residual {residual:.3e} > {RESIDUAL_BOUND:g}"
@@ -379,16 +379,21 @@ def sweep(
     row-major with p_es outermost. Each cell integrates from ``x0`` (the
     uniform state by default) until the velocity drops below 1e-10 or the
     time cap, then matches the endpoint against the vertices.
+
+    The scale ``n`` multiplies the whole velocity field, so it only rescales
+    time: cells integrate the n = 1 flow, and ``dt``, ``t_cap`` and the
+    1e-10 bound are in n = 1 time. Results do not depend on ``n``.
     """
-    p_values = _grid_values("p_range", p_range)
-    m_values = _grid_values("m_range", m_range)
+    check_range("p_range", p_range)
+    check_range("m_range", m_range)
+    p_values, m_values = (np.linspace(lo, hi, int(k)) for lo, hi, k in (p_range, m_range))
     start = PopulationState.uniform() if x0 is None else x0
     cells: list[SweepCell] = []
     for p in p_values:
         for m in m_values:
             params = GantanganParams(p, m, n)
             traj = integrate(
-                start, params, mu, dt, t_cap, converge_tol=CONVERGENCE_RESIDUAL
+                start, GantanganParams(p, m), mu, dt, t_cap, converge_tol=CONVERGENCE_RESIDUAL
             )
             end = traj.final
             cells.append(
@@ -403,14 +408,14 @@ def sweep(
     return cells
 
 
-def _grid_values(name: str, grid: tuple[float, float, int]) -> np.ndarray:
+def check_range(name: str, grid: tuple[float, float, int]) -> None:
+    """Reject a sweep range (lo, hi, steps) unless 0 < lo < hi, both finite,
+    and steps >= 2."""
     lo, hi, steps = grid
     if not (np.isfinite(lo) and np.isfinite(hi)) or not 0.0 < lo < hi:
         raise ValueError(f"{name} must satisfy 0 < lo < hi, got lo={lo}, hi={hi}")
-    steps = int(steps)
-    if steps < 2:
-        raise ValueError(f"{name} needs at least 2 steps, got {steps}")
-    return np.linspace(lo, hi, steps)
+    if int(steps) < 2:
+        raise ValueError(f"{name} needs at least 2 steps, got {int(steps)}")
 
 
 def ternary_project(state: PopulationState) -> TernaryPoint:
@@ -427,6 +432,12 @@ def ternary_coordinates(states: np.ndarray) -> np.ndarray:
     )
 
 
+def check_seed_count(count: int) -> None:
+    """Reject a lattice seed count below 1."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+
+
 def interior_lattice(count: int, margin: float = 0.05) -> list[PopulationState]:
     """Deterministic interior seed points for phase portraits.
 
@@ -434,8 +445,7 @@ def interior_lattice(count: int, margin: float = 0.05) -> list[PopulationState]:
     whose coordinates all stay ``margin`` away from the boundary, in
     lexicographic order; ``count=1`` yields the barycenter.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    check_seed_count(count)
     if not 0.0 <= margin < 1.0 / 3.0:
         raise ValueError(f"margin must lie in [0, 1/3), got {margin}")
     for k in itertools.count(1):

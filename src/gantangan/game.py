@@ -67,7 +67,7 @@ class GantanganParams:
         for name in ("p_es", "m_ss", "n"):
             value = float(getattr(self, name))
             if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, value)
 
 

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gantangan import GantanganParams, PopulationState, find_fixed_points, integrate
 from gantangan.cli import (
@@ -306,3 +312,117 @@ def test_json_records_equal_csv_rows(tmp_path):
                     assert row[key] == value, (argv, key)
                 else:
                     assert type(value)(row[key]) == value, (argv, key)
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["simulate", "--p-es", "2", "--m-ss", "1"], {"x0": 5}),
+        (["simulate", "--m-ss", "1"], {"p_es": [1]}),
+        (["portrait", "--p-es", "2", "--m-ss", "1"], {"seeds": [1]}),
+        (["sweep"], {"p_grid": 3, "m_grid": [1, 2, 3]}),
+    ],
+)
+def test_malformed_config_value_is_domain_error(tmp_path, capsys, argv, values):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    assert main(argv + ["--config", str(config)]) == EXIT_DOMAIN
+    assert f"config key {next(iter(values))!r}" in capsys.readouterr().err
+
+
+def test_horizon_off_the_step_grid_is_domain_error(capsys):
+    argv = ["simulate", "--p-es", "2", "--m-ss", "1", "--t-end", "0.015", "--dt", "0.01"]
+    assert main(argv) == EXIT_DOMAIN
+    assert "--dt/--t-end" in capsys.readouterr().err
+
+
+# Numbers stay at or below 10,000, so do any grid steps or seed count.
+_NUMBER_TEXT = st.one_of(
+    st.integers(-10, 10_000).map(str),
+    st.floats(-1e4, 1e4).map(repr),
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e400", "", "x"]),
+)
+_JUNK_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.tuples(st.sampled_from([",", ":"]), st.lists(_NUMBER_TEXT, min_size=1, max_size=4)).map(
+        lambda t: t[0].join(t[1])
+    ),
+)
+_JUNK_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10_000) | st.floats(-1e4, 1e4)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# Valid values, drawn three times in four, so that a fair share of configs is accepted.
+_VALID_TEXT = {
+    "--p-es": ["0.5", "2"], "--m-ss": ["1", "3"], "--n": ["1", "2.5"], "--mu": ["0", "0.01"],
+    "--dt": ["0.01", "0.02"], "--t-end": ["1", "10"], "--x0": ["0.2,0.3,0.5", "1,0,0"],
+    "--grid": ["0.5:4:3", "1:2:2"], "--seeds": ["1", "4"], "--out": ["-", "x.csv"],
+    "--format": ["csv", "json"],
+}
+_VALID_JSON = {
+    "command": ["sweep"], "p_es": [0.5, 2], "m_ss": [1, 3.0], "n": [1, 2.5], "mu": [0, 0.01],
+    "dt": [0.01, 0.02], "t_end": [1, 10.0], "x0": [[0.2, 0.3, 0.5]], "p_grid": [[0.5, 4, 3]],
+    "m_grid": [[1, 2.0, 2]], "seeds": [1, 4], "out": ["-", "x.csv"], "format": ["csv", "json"],
+    "bogus": [1],
+}
+_COMMAND_FLAGS = {
+    "simulate": ["--p-es", "--m-ss", "--n", "--mu", "--dt", "--t-end", "--x0", "--out", "--format"],
+    "equilibria": ["--p-es", "--m-ss", "--n", "--mu", "--out", "--format"],
+    "sweep": ["--n", "--mu", "--x0", "--out", "--format"],
+    "portrait": ["--p-es", "--m-ss", "--n", "--mu", "--dt", "--t-end", "--seeds", "--out",
+                 "--format"],
+}
+
+
+def _mostly(valid: list, junk):
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid) if k else junk)
+
+
+def _flag_text(flag: str):
+    return _mostly(_VALID_TEXT[flag], _JUNK_TEXT)
+
+
+def _required_flags(command: str):
+    # sweep's two grids are drawn here: a third --grid would make it a usage error.
+    if command == "sweep":
+        return st.tuples(_flag_text("--grid"), _flag_text("--grid")).map(
+            lambda g: ["--grid", g[0], "--grid", g[1]]
+        )
+    return st.just(["--p-es", "2", "--m-ss", "1"])
+
+
+def _quiet_main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_COMMAND_FLAGS)), data=st.data())
+def test_fuzzed_config_exits_cleanly_and_round_trips(command, data):
+    assert set(_VALID_JSON) - {"bogus"} == set(RunConfig(command).to_json())
+    argv = [command] + data.draw(_required_flags(command))
+    for flag in data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), max_size=4)):
+        argv += [flag, data.draw(_flag_text(flag))]
+    file_values = None
+    if data.draw(st.booleans()):
+        keys = data.draw(st.sets(st.sampled_from(sorted(_VALID_JSON)), max_size=4))
+        file_values = {k: data.draw(_mostly(_VALID_JSON[k], _JUNK_JSON)) for k in keys}
+    with tempfile.TemporaryDirectory() as tmp:
+        if file_values is not None:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(file_values, fh)
+            argv += ["--config", path]
+        code, dumped = _quiet_main(argv + ["--dump-config"])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN)
+        if code != EXIT_OK:
+            return
+        path = os.path.join(tmp, "dumped.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumped)
+        # repr compares fields exactly and, unlike ==, treats a NaN as equal to itself.
+        assert repr(parse_args([command, "--config", path])) == repr(parse_args(argv))

@@ -53,6 +53,11 @@ def test_uniform_kernel_rejects_out_of_range(mu):
         uniform_kernel(mu)
 
 
+def test_kernel_names_out_of_range_mu():
+    with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\), got 1.5"):
+        uniform_kernel(1.5)
+
+
 def test_mutation_kernel_validation():
     with pytest.raises(ValueError):
         MutationKernel(np.array([[0.5, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.1)
@@ -177,7 +182,10 @@ def test_oversized_step_raises():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(dt=0.0), dict(dt=-0.1), dict(dt=1.0, t_end=0.5), dict(mu=1.0), dict(t_end=float("inf"))],
+    [
+        dict(dt=0.0), dict(dt=-0.1), dict(dt=1.0, t_end=0.5), dict(mu=1.0), dict(t_end=float("inf")),
+        dict(t_end=0.015),
+    ],
 )
 def test_integrate_rejects_bad_inputs(kwargs):
     base = dict(mu=0.0, dt=0.01, t_end=1.0)

@@ -272,6 +272,16 @@ def test_sweep_gamma_extinct_on_tied_parameters():
             assert cell.endpoint.x[2] < 1e-3
 
 
+def test_sweep_does_not_depend_on_payoff_scale():
+    # n only rescales time; at n = 500 the flow at dt = 0.01 would leave the simplex.
+    slow = sweep((0.5, 3.0, 2), (0.7, 2.5, 2), n=1.0)
+    fast = sweep((0.5, 3.0, 2), (0.7, 2.5, 2), n=500.0)
+    for a, b in zip(slow, fast, strict=True):
+        assert (a.p_es, a.m_ss, a.attractor_label) == (b.p_es, b.m_ss, b.attractor_label)
+        assert a.fixed_point_count == b.fixed_point_count
+        assert np.array_equal(a.endpoint.x, b.endpoint.x)
+
+
 @pytest.mark.parametrize(
     "p_range,m_range",
     [((0.0, 1.0, 4), (1.0, 2.0, 4)), ((2.0, 1.0, 4), (1.0, 2.0, 4)), ((1.0, 2.0, 1), (1.0, 2.0, 4))],
