@@ -79,34 +79,43 @@ def _text(value) -> str:
     return value
 
 
-def _option(default, convert, *, sep: str | None = None, key: str | None = None):
+def _option(default, convert, *, sep: str | None = None, key: str | None = None,
+            flag: str | None = None, **argparse_kwargs):
     """A config field: ``convert`` turns a config-file value, or the flag's
-    text split at ``sep``, into the field's value; ``key`` names it in config
-    files and --dump-config when it differs from the field name."""
-    return field(default=default, metadata={"convert": convert, "sep": sep, "key": key})
+    text split at ``sep``, into the field's value. ``key`` and ``flag`` name it
+    in files and on the command line where its name does not; ``argparse_kwargs``
+    describe the flag, and a field without ``help`` adds none of its own."""
+    metadata = {"convert": convert, "sep": sep, "key": key, "flag": flag}
+    return field(default=default, metadata={**metadata, "argparse": argparse_kwargs})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Inputs for one CLI run; its fields are the config-file schema."""
+    """Inputs for one CLI run; the fields its command does not read keep their defaults."""
 
     command: str
-    p_es: float | None = _option(None, float)
-    m_ss: float | None = _option(None, float)
-    n: float = _option(1.0, float)
-    mu: float = _option(0.0, float)
-    dt: float = _option(0.01, float)
-    t_end: float = _option(500.0, float)
-    x0: tuple[float, float, float] = _option((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), _reals, sep=",")
-    p_grid: tuple[float, float, int] | None = _option(None, _range, sep=":")
-    m_grid: tuple[float, float, int] | None = _option(None, _range, sep=":")
-    seeds: int = _option(9, int)
-    out: str = _option("-", _text)
-    fmt: str = _option("csv", _text, key="format")
+    p_es: float | None = _option(None, float, help="economic return, > 0")
+    m_ss: float | None = _option(None, float, help="social gain, > 0")
+    n: float = _option(1.0, float, help="payoff scale factor (default 1)")
+    mu: float = _option(0.0, float, help="mutation rate in [0, 1) (default 0)")
+    dt: float = _option(0.01, float, help="integration step (default 0.01)")
+    t_end: float = _option(500.0, float,
+                           help="integration horizon, a whole number of steps (default 500)")
+    x0: tuple[float, float, float] = _option(
+        (1.0 / 3.0,) * 3, _reals, sep=",", help="initial frequencies a,b,c (default uniform)")
+    p_grid: tuple[float, float, int] | None = _option(
+        None, _range, sep=":", flag="--grid", action="append", metavar="LO:HI:STEPS",
+        help="given twice: p grid, then m grid")
+    m_grid: tuple[float, float, int] | None = _option(None, _range, sep=":", flag="--grid")
+    seeds: int = _option(9, int, help="number of lattice seeds (default 9)")
+    out: str = _option("-", _text, help="output path, or - for stdout (default -)")
+    fmt: str = _option("csv", _text, key="format", choices=("csv", "json"),
+                       help="output format (default csv)")
 
     def validate(self) -> None:
         """Run the library's own checks on every input, each message led by
         the flags it concerns. Only --format, a CLI concept, is checked here."""
+        _require(self)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"--format must be csv or json; got {self.fmt}")
         if self.command == "sweep":
@@ -121,15 +130,38 @@ class RunConfig:
         _check("--seeds", check_seed_count, self.seeds)
 
     def to_json(self) -> dict:
-        """The config as --dump-config prints it, under the config-file keys."""
-        return {_key(f): getattr(self, f.name) for f in fields(self)}
+        """The inputs the command reads, as --dump-config prints them, under
+        the config-file keys."""
+        names = _INPUTS[self.command]
+        return {_key(f): getattr(self, f.name) for f in fields(self) if f.name in names}
+
+
+# The one record of the RunConfig fields each command reads, in the order of
+# the command's flags. They are its flags, its config-file keys and the keys
+# --dump-config prints; those whose default is None are required.
+_INPUTS = {
+    "simulate": ("p_es", "m_ss", "n", "mu", "dt", "t_end", "out", "fmt", "x0"),
+    "equilibria": ("p_es", "m_ss", "n", "mu", "out", "fmt"),
+    "sweep": ("n", "mu", "out", "fmt", "p_grid", "m_grid", "x0"),
+    "portrait": ("p_es", "m_ss", "n", "mu", "dt", "t_end", "out", "fmt", "seeds"),
+}
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _key(f: Field) -> str:
     return f.metadata.get("key") or f.name
 
 
-_FIELDS = {f.name: f for f in fields(RunConfig)}
+def _flag(f: Field) -> str:
+    return f.metadata.get("flag") or "--" + _key(f).replace("_", "-")
+
+
+def _require(cfg: RunConfig) -> None:
+    """Raise a ValueError naming the first required input that ``cfg`` lacks."""
+    for name in _INPUTS[cfg.command]:
+        if _FIELDS[name].default is None and getattr(cfg, name) is None:
+            raise ValueError(f"{_flag(_FIELDS[name])} is required for {cfg.command}")
 
 
 def _check(flags: str, rule, *args) -> None:
@@ -157,54 +189,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evolutionary dynamics of the gantangan deposit game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def flag(p: argparse.ArgumentParser, name: str, text: str, **kwargs) -> None:
-        option = "--" + _key(_FIELDS[name]).replace("_", "-")
-        p.add_argument(option, dest=name, type=_flag_type(name), default=None, help=text, **kwargs)
-
-    def common(p: argparse.ArgumentParser, *, game_params: bool, flow: bool) -> None:
-        if game_params:
-            flag(p, "p_es", "economic return, > 0")
-            flag(p, "m_ss", "social gain, > 0")
-        flag(p, "n", "payoff scale factor (default 1)")
-        flag(p, "mu", "mutation rate in [0, 1) (default 0)")
-        if flow:
-            flag(p, "dt", "integration step (default 0.01)")
-            flag(p, "t_end", "integration horizon, a whole number of steps (default 500)")
-        flag(p, "out", "output path, or - for stdout (default -)")
-        flag(p, "fmt", "output format (default csv)", choices=("csv", "json"))
-        p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the resolved config as JSON and exit")
-
-    p_sim = sub.add_parser("simulate", help="integrate one trajectory")
-    common(p_sim, game_params=True, flow=True)
-    flag(p_sim, "x0", "initial frequencies a,b,c (default uniform)")
-
-    p_eq = sub.add_parser("equilibria", help="enumerate stationary states")
-    common(p_eq, game_params=True, flow=False)
-
-    p_sweep = sub.add_parser("sweep", help="attractor map over a (p_es, m_ss) grid")
-    common(p_sweep, game_params=False, flow=False)
-    p_sweep.add_argument("--grid", type=_flag_type("p_grid"), action="append", default=None,
-                         metavar="LO:HI:STEPS", help="given twice: p grid, then m grid")
-    flag(p_sweep, "x0", "initial frequencies a,b,c (default uniform)")
-
-    p_port = sub.add_parser("portrait", help="trajectory bundle from a seed lattice")
-    common(p_port, game_params=True, flow=True)
-    flag(p_port, "seeds", "number of lattice seeds (default 9)")
-
+    helps = {"simulate": "integrate one trajectory", "equilibria": "enumerate stationary states",
+             "sweep": "attractor map over a (p_es, m_ss) grid",
+             "portrait": "trajectory bundle from a seed lattice"}
+    for command, names in _INPUTS.items():
+        p = sub.add_parser(command, help=helps[command])
+        for name in names:
+            f = _FIELDS[name]
+            if "help" in f.metadata["argparse"]:
+                p.add_argument(_flag(f), dest=name, type=_flag_type(name), **f.metadata["argparse"])
+            if name == "fmt":  # every command lists these two right after --format
+                p.add_argument("--config", help="JSON config file; explicit flags win")
+                p.add_argument("--dump-config", action="store_true",
+                               help="print the resolved config as JSON and exit")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
-    unknown = set(data) - {_key(f) for f in _FIELDS.values()}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    unread = set(data) - {_key(_FIELDS[name]) for name in _INPUTS[command]}
+    if unread:
+        raise ValueError(f"config keys that {command} does not read: {sorted(unread)}")
     return data
 
 
@@ -219,29 +227,26 @@ def _resolve(argv: list[str]) -> tuple[RunConfig, bool]:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     flags = vars(ns)
-    grids = flags.get("grid")
+    grids = flags.get("p_grid")
     if grids is not None:
         if len(grids) != 2:
             parser.error(f"sweep needs --grid exactly twice (p then m), got {len(grids)}")
         flags["p_grid"], flags["m_grid"] = grids
-    file_vals = _load_config_file(ns.config) if ns.config else {}
+    file_vals = _load_config_file(ns.config, ns.command) if ns.config else {}
 
     # Defaults, then the config file, then explicit flags.
     values = {}
-    for f in _FIELDS.values():
-        if flags.get(f.name) is not None:
-            values[f.name] = flags[f.name]
+    for name in _INPUTS[ns.command]:
+        f = _FIELDS[name]
+        if flags.get(name) is not None:
+            values[name] = flags[name]
         elif file_vals.get(_key(f)) is not None:
-            values[f.name] = _from_file(f, file_vals[_key(f)])
-    cfg = RunConfig(**values)
-
-    if cfg.command in ("simulate", "equilibria", "portrait"):
-        for flag, value in (("--p-es", cfg.p_es), ("--m-ss", cfg.m_ss)):
-            if value is None:
-                parser.error(f"{flag} is required for {cfg.command}")
-    if cfg.command == "sweep" and (cfg.p_grid is None or cfg.m_grid is None):
-        parser.error("sweep needs --grid twice (p then m)")
-
+            values[name] = _from_file(f, file_vals[_key(f)])
+    cfg = RunConfig(ns.command, **values)
+    try:
+        _require(cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
     cfg.validate()
     return cfg, ns.dump_config
 
@@ -249,8 +254,7 @@ def _resolve(argv: list[str]) -> tuple[RunConfig, bool]:
 def parse_args(argv: list[str]) -> RunConfig:
     """Parse and validate argv into a RunConfig; raises SystemExit(2) on usage
     errors and ValueError on domain errors."""
-    cfg, _ = _resolve(list(argv))
-    return cfg
+    return _resolve(list(argv))[0]
 
 
 def _fmt(value: float | int | str) -> str:
@@ -375,22 +379,17 @@ def emit_portrait(trajectories: list[Trajectory], fmt: str = "csv", out: str = "
 
 
 def _run(cfg: RunConfig) -> None:
+    if cfg.command == "sweep":
+        cells = sweep(cfg.p_grid, cfg.m_grid, cfg.n, cfg.mu, PopulationState(np.array(cfg.x0)))
+        return emit_sweep(cells, cfg.fmt, cfg.out)
+    params = GantanganParams(cfg.p_es, cfg.m_ss, cfg.n)
     if cfg.command == "simulate":
-        params = GantanganParams(cfg.p_es, cfg.m_ss, cfg.n)
         traj = integrate(PopulationState(np.array(cfg.x0)), params, cfg.mu, cfg.dt, cfg.t_end)
         emit_trajectory(traj, cfg.fmt, cfg.out)
     elif cfg.command == "equilibria":
-        params = GantanganParams(cfg.p_es, cfg.m_ss, cfg.n)
         emit_equilibria(find_fixed_points(params, cfg.mu), cfg.fmt, cfg.out)
-    elif cfg.command == "sweep":
-        cells = sweep(cfg.p_grid, cfg.m_grid, cfg.n, cfg.mu, PopulationState(np.array(cfg.x0)))
-        emit_sweep(cells, cfg.fmt, cfg.out)
-    elif cfg.command == "portrait":
-        params = GantanganParams(cfg.p_es, cfg.m_ss, cfg.n)
-        trajs = portrait(params, cfg.mu, cfg.seeds, cfg.dt, cfg.t_end)
-        emit_portrait(trajs, cfg.fmt, cfg.out)
-    else:  # pragma: no cover - argparse admits only the four commands
-        raise ValueError(f"unknown command {cfg.command!r}")
+    else:
+        emit_portrait(portrait(params, cfg.mu, cfg.seeds, cfg.dt, cfg.t_end), cfg.fmt, cfg.out)
 
 
 def main(argv: list[str] | None = None) -> int:

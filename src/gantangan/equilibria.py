@@ -73,6 +73,10 @@ SEED_GRID = 50
 # inter-vertex distance of 1.
 VERTEX_LABEL_TOL = 1e-3
 
+# Step and time cap of each sweep cell's integration, in n = 1 time.
+SWEEP_DT = 0.01
+SWEEP_T_CAP = 2000.0
+
 _SQRT3_2 = float(np.sqrt(3.0) / 2.0)
 
 
@@ -368,9 +372,6 @@ def sweep(
     n: float = 1.0,
     mu: float = 0.0,
     x0: PopulationState | None = None,
-    *,
-    dt: float = 0.01,
-    t_cap: float = 2000.0,
 ) -> list[SweepCell]:
     """Label the long-run attractor over a (p_es, m_ss) grid.
 
@@ -381,8 +382,8 @@ def sweep(
     time cap, then matches the endpoint against the vertices.
 
     The scale ``n`` multiplies the whole velocity field, so it only rescales
-    time: cells integrate the n = 1 flow, and ``dt``, ``t_cap`` and the
-    1e-10 bound are in n = 1 time. Results do not depend on ``n``.
+    time: cells integrate the n = 1 flow, and the step dt = 0.01, the time cap
+    2000 and the 1e-10 bound are in n = 1 time. Results do not depend on ``n``.
     """
     check_range("p_range", p_range)
     check_range("m_range", m_range)
@@ -392,9 +393,8 @@ def sweep(
     for p in p_values:
         for m in m_values:
             params = GantanganParams(p, m, n)
-            traj = integrate(
-                start, GantanganParams(p, m), mu, dt, t_cap, converge_tol=CONVERGENCE_RESIDUAL
-            )
+            traj = integrate(start, GantanganParams(p, m), mu, SWEEP_DT, SWEEP_T_CAP,
+                             converge_tol=CONVERGENCE_RESIDUAL)
             end = traj.final
             cells.append(
                 SweepCell(
