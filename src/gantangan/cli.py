@@ -112,6 +112,10 @@ class RunConfig:
     fmt: str = _option("csv", _text, key="format", choices=("csv", "json"),
                        help="output format (default csv)")
 
+    def __post_init__(self) -> None:
+        if self.command not in _INPUTS:
+            raise ValueError(f"unknown command {self.command!r}; expected one of {list(_INPUTS)}")
+
     def validate(self) -> None:
         """Run the library's own checks on every input, each message led by
         the flags it concerns. Only --format, a CLI concept, is checked here."""

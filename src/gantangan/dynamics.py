@@ -216,8 +216,10 @@ def integrate(
     last = n_steps
     half = 0.5 * dt
     sixth = dt / 6.0
+    # The field at each stored state is both the convergence test and the
+    # next step's first stage.
+    k1 = field(x)
     for k in range(1, n_steps + 1):
-        k1 = field(x)
         k2 = field(x + half * k1)
         k3 = field(x + half * k2)
         k4 = field(x + dt * k3)
@@ -229,7 +231,8 @@ def integrate(
         np.clip(x, 0.0, None, out=x)
         x /= x.sum()
         states[k] = x
-        if converge_tol is not None and np.max(np.abs(field(x))) < converge_tol:
+        k1 = field(x)
+        if converge_tol is not None and np.max(np.abs(k1)) < converge_tol:
             last = k
             break
     times = dt * np.arange(last + 1)

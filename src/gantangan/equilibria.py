@@ -65,8 +65,27 @@ DEDUP_RADIUS = 1e-6
 # ties such as p_es = m_ss produce genuine zero eigenvalues.
 EIGENVALUE_ZERO_BAND = 1e-9
 
-# Barycentric subdivisions used to seed Newton refinement under mutation.
-SEED_GRID = 50
+# The resultant search under mutation works in the three cyclic strategy
+# frames (i, j, k), each putting x_i = s, x_j = t, x_k = 1 - s - t: a root
+# cluster that is ill-conditioned in one frame's s is well apart in another's.
+_FRAMES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# The resultant in s has degree at most 9 (Bezout). It is sampled at the 16
+# points s = (1 + w) / 2 with w the 16th roots of unity, where the inverse
+# discrete Fourier transform recovers its coefficients in w exactly up to
+# rounding; s in [0, 1] is w in [-1, 1].
+RESULTANT_DEGREE = 9
+RESULTANT_NODES = 16
+
+# Roots within this distance of the real interval they must lie in become
+# Newton seeds: a near-double root (a sink and a saddle close together, as on
+# the beta side at small mu) splits into a complex pair about this far apart.
+ROOT_SLACK = 1e-2
+
+# Leading polynomial coefficients below this share of the largest one are
+# rounding noise: the first velocity component has no t^3 term, and in the
+# (1, 2, 0) frame its t^2 term and the second one's t^3 term cancel.
+COEFF_NOISE = 1e-13
 
 # A sweep endpoint within this max-norm distance of a vertex gets that
 # vertex's label; generous against integration error, tiny against the
@@ -304,16 +323,84 @@ def _newton_refine(
     return None
 
 
-def _newton_candidates(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
-    seeds = [
-        np.array([i / SEED_GRID, j / SEED_GRID])
-        for i in range(SEED_GRID + 1)
-        for j in range(SEED_GRID + 1 - i)
-    ]
-    out = []
-    for seed in seeds:
+def _trim(coeffs: np.ndarray, scale: float) -> np.ndarray:
+    """Drop the leading coefficients (last axis, ascending powers) that are
+    noise against ``scale`` in every row; at least the constant term stays."""
+    d = coeffs.shape[-1]
+    while d > 1 and np.max(np.abs(coeffs[..., d - 1])) <= COEFF_NOISE * scale:
+        d -= 1
+    return coeffs[..., :d]
+
+
+def _frame_cubics(payoff: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Coefficients in t, ascending, of the first two velocity components at
+    x = (s, t, 1 - s - t), one (2, 4) block per value of ``s``.
+
+    With x = a + b t, where a = (s, 0, 1 - s) and b = (0, 1, -1), the terms
+    x * Ax and x^T A x are quadratics in t and x (x^T A x) is a cubic.
+    """
+    a = np.stack([s, np.zeros_like(s), 1.0 - s], axis=-1)
+    b = np.array([0.0, 1.0, -1.0])
+    fa, fb = a @ payoff.T, payoff @ b
+    gain = np.stack([a * fa, a * fb + b * fa, np.broadcast_to(b * fb, a.shape)], axis=-1)
+    phi = gain.sum(axis=1)
+    out = np.zeros(s.shape + (3, 4), dtype=s.dtype)
+    out[..., :3] = np.einsum("li,klp->kip", q, gain) - a[..., None] * phi[:, None, :]
+    out[..., 1:] -= b[:, None] * phi[:, None, :]
+    return out[:, :2]
+
+
+def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sylvester matrices of two polynomials in t whose coefficients, in
+    ascending powers, run along the last axis of ``f`` and ``g``."""
+    df, dg = f.shape[-1] - 1, g.shape[-1] - 1
+    mat = np.zeros(f.shape[:-1] + (df + dg, df + dg), dtype=f.dtype)
+    for r in range(dg):
+        mat[..., r, r:r + df + 1] = f[..., ::-1]
+    for r in range(df):
+        mat[..., dg + r, r:r + dg + 1] = g[..., ::-1]
+    return mat
+
+
+def _near_real(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Real parts of the roots within ``ROOT_SLACK`` of the interval [lo, hi]."""
+    return roots[(np.abs(roots.imag) <= ROOT_SLACK)
+                 & (roots.real >= lo - ROOT_SLACK) & (roots.real <= hi + ROOT_SLACK)].real
+
+
+def _resultant_seeds(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+    """Newton seeds (x_alpha, x_beta) at the real common zeros of two velocity
+    components, from the resultant in each of the three strategy frames."""
+    k = np.arange(RESULTANT_NODES)
+    nodes = 0.5 + 0.5 * np.exp(2j * np.pi * k / RESULTANT_NODES)
+    inverse_dft = np.exp(-2j * np.pi * np.outer(k[: RESULTANT_DEGREE + 1], k) / RESULTANT_NODES)
+    seeds = []
+    for frame in _FRAMES:
+        pf, qf = payoff[np.ix_(frame, frame)], q[np.ix_(frame, frame)]
+        cubics = _frame_cubics(pf, qf, nodes)
+        scale = float(np.max(np.abs(cubics)))
+        values = np.linalg.det(
+            _sylvester(_trim(cubics[:, 0], scale), _trim(cubics[:, 1], scale)))
+        # A real polynomial in s is real in w: imaginary parts are rounding.
+        coeffs = (inverse_dft @ values).real / RESULTANT_NODES
+        w = np.roots(_trim(coeffs, float(np.max(np.abs(coeffs))))[::-1])
+        s_values = _near_real(0.5 + 0.5 * w, 0.0, 1.0)
+        for s, cubic in zip(s_values, _frame_cubics(pf, qf, s_values)[:, 1]):
+            for t in _near_real(np.roots(_trim(cubic, scale)[::-1]), 0.0, 1.0 - s):
+                x = np.empty(3)
+                x[list(frame)] = (s, t, 1.0 - s - t)
+                seeds.append(x[:2])
+    return seeds
+
+
+def _mutation_candidates(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+    """The abstainer vertex, exactly (x * Ax = 0 there, so it is stationary
+    for every kernel), and the Newton-polished resultant seeds."""
+    gamma = np.array([0.0, 0.0, 1.0])
+    out = [gamma]
+    for seed in _resultant_seeds(payoff, q):
         root = _newton_refine(seed, payoff, q)
-        if root is not None:
+        if root is not None and float(np.max(np.abs(root - gamma))) > DEDUP_RADIUS:
             out.append(root)
     return out
 
@@ -323,11 +410,21 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
 
     Without mutation the three vertices are always stationary; edge points
     come from the within-edge equal-fitness condition and interior points
-    from the equal-fitness system across all three strategies. With mutation
-    the candidates are Newton-refined zeros of the full field seeded on a
-    50x50 barycentric grid. Candidates are deduplicated within 1e-6 in the
-    max norm, required to have residual at most 1e-8, and returned sorted by
-    (x_alpha, x_beta) descending.
+    from the equal-fitness system across all three strategies.
+
+    With mutation the abstainer vertex (0, 0, 1) is always stationary and the
+    other rest points are the real common zeros of two velocity components,
+    cubics on the simplex plane. In each of the three cyclic strategy frames
+    (x_i, x_j, x_k) = (s, t, 1 - s - t), the real roots in [0, 1] of their
+    resultant in s (degree at most 9, from Sylvester determinants sampled on
+    a circle and an inverse DFT) and then of the cubic in t give the seeds,
+    which damped Newton polishes. Search and polish use the n = 1 payoff,
+    since n only rescales time; residuals and eigenvalues are those of
+    ``params``.
+
+    Candidates are deduplicated within 1e-6 in the max norm, required to have
+    residual at most 1e-8, and returned sorted by (x_alpha, x_beta)
+    descending.
     """
     payoff = build_payoff(params)
     kernel = uniform_kernel(mu)
@@ -336,7 +433,8 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
         candidates += _edge_candidates(payoff)
         candidates += _interior_candidate(payoff)
     else:
-        candidates = _newton_candidates(payoff, kernel.q)
+        unit = build_payoff(GantanganParams(params.p_es, params.m_ss))
+        candidates = _mutation_candidates(unit, kernel.q)
     candidates.sort(key=lambda x: (-x[0], -x[1]))
     reports: list[FixedPointReport] = []
     kept: list[np.ndarray] = []

@@ -94,3 +94,62 @@ def scan_stationary_count(a, q, divisions=200, threshold=5e-3, merge=0.05):
                 if ri != rj:
                     parent[ri] = rj
     return len({find(k) for k in range(len(marked))})
+
+
+def reduced_jacobian(x, a, q):
+    """Jacobian of (dx_alpha, dx_beta) in (x_alpha, x_beta) on the simplex
+    plane, x_gamma = 1 - x_alpha - x_beta: its columns are the directional
+    derivatives along (1, 0, -1) and (0, 1, -1). Its eigenvalues are those
+    of the flow on the tangent plane."""
+    return np.column_stack([
+        directional_derivative(x, v, a, q)[:2] for v in ([1.0, 0.0, -1.0], [0.0, 1.0, -1.0])
+    ])
+
+
+def mutation_rest_points(a, q, divisions=100, rel_tol=1e-12):
+    """Rest points of the replicator-mutator flow by brute force.
+
+    Every barycentric grid point whose speed (velocity max-norm) is no larger
+    than at any of its six grid neighbours seeds plain Newton on
+    (x_alpha, x_beta), with x_gamma = 1 - x_alpha - x_beta and the Jacobian
+    of ``reduced_jacobian``. A grid point with speed exactly 0 is a root as
+    it stands. A root inside the simplex with speed at most ``rel_tol`` times
+    the largest payoff entry is kept once within 1e-7. Two rest points closer
+    than the grid spacing can merge, so this serves fixed samples. Returns
+    the roots sorted by (x_alpha, x_beta) descending.
+    """
+    a_list = np.asarray(a, dtype=float).tolist()
+    q_list = np.asarray(q, dtype=float).tolist()
+    bound = rel_tol * float(np.max(np.abs(a)))
+
+    def reduced(z):
+        return direct_velocity([z[0], z[1], 1.0 - z[0] - z[1]], a_list, q_list)
+
+    speed = {}
+    for i in range(divisions + 1):
+        for j in range(divisions + 1 - i):
+            speed[(i, j)] = max(abs(c) for c in reduced([i / divisions, j / divisions]))
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    found = []
+    for (i, j), s in speed.items():
+        if any(s > speed.get((i + di, j + dj), np.inf) for di, dj in steps):
+            continue
+        z = np.array([i / divisions, j / divisions])
+        for _ in range(50 if s > 0.0 else 0):
+            jac = reduced_jacobian([z[0], z[1], 1.0 - z[0] - z[1]], a, q)
+            try:
+                z = z - np.linalg.solve(jac, reduced(z)[:2])
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > 2.0:
+                break
+        x = np.array([z[0], z[1], 1.0 - z[0] - z[1]])
+        if not np.all(np.isfinite(x)) or x.min() < -1e-9:
+            continue
+        if max(abs(c) for c in reduced(z)) > bound:
+            continue
+        x = np.clip(x, 0.0, None)
+        x /= x.sum()
+        if all(np.max(np.abs(x - y)) > 1e-7 for y in found):
+            found.append(x)
+    return sorted(found, key=lambda x: (-x[0], -x[1]))

@@ -190,6 +190,12 @@ def test_missing_required_input_names_its_flag(capsys, command, flag):
     assert f"{flag} is required for {command}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["validate", "to_json"])
+def test_unknown_command_is_domain_error(method):
+    with pytest.raises(ValueError, match="unknown command 'bogus'"):
+        getattr(RunConfig("bogus"), method)()
+
+
 # --------------------------------------------------------------- emitters
 
 

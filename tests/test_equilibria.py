@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gantangan import (
     AttractorLabel,
@@ -26,7 +28,12 @@ from gantangan import (
     uniform_kernel,
 )
 
-from reference import directional_derivative, direct_velocity
+from reference import (
+    directional_derivative,
+    direct_velocity,
+    mutation_rest_points,
+    reduced_jacobian,
+)
 
 
 def _tangent_frame() -> np.ndarray:
@@ -120,6 +127,50 @@ def test_mutation_rest_point_interior_and_attracting():
         PopulationState.uniform(), params, mu=0.01, dt=0.01, t_end=1000.0, converge_tol=1e-10
     ).final.x
     assert np.max(np.abs(end - sink.state.x)) <= 1e-6
+
+
+def _expected_labels(x, a, q) -> tuple[Stability, Location]:
+    real = np.linalg.eigvals(reduced_jacobian(x, a, q)).real
+    assert np.all(np.abs(real) > 1e-6), "sample point too close to nonhyperbolic"
+    stability = {2: Stability.SINK, 0: Stability.SOURCE, 1: Stability.SADDLE}[int(np.sum(real < 0))]
+    zeros = x <= 1e-7
+    if zeros.sum() == 2:
+        location = [Location.VERTEX_ALPHA, Location.VERTEX_BETA, Location.VERTEX_GAMMA][np.argmax(x)]
+    elif zeros.sum() == 1:
+        location = [Location.EDGE_BG, Location.EDGE_AG, Location.EDGE_AB][np.argmax(zeros)]
+    else:
+        location = Location.INTERIOR
+    return stability, location
+
+
+@pytest.mark.parametrize(
+    "p,m,n,mu",
+    [(p, m, 1.0, mu) for p, m in ((2, 2), (1, 2), (2, 1)) for mu in (1e-6, 1e-4, 0.01, 0.3, 0.9)]
+    + [(0.01, 100.0, 500.0, 0.01)],
+)
+def test_mutation_rest_points_match_independent_scan(p, m, n, mu):
+    params = GantanganParams(p, m, n)
+    a, q = build_payoff(params), uniform_kernel(mu).q
+    expected = mutation_rest_points(a, q)
+    reports = find_fixed_points(params, mu)
+    assert len(reports) == len(expected)
+    for report, x in zip(reports, expected):
+        assert np.max(np.abs(report.state.x - x)) <= 1e-6
+        assert (report.stability, report.location) == _expected_labels(x, a, q)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    p=st.floats(0.05, 20.0),
+    m=st.floats(0.05, 20.0),
+    mu=st.floats(0.0, 0.99, exclude_min=True),
+)
+def test_mutation_reports_are_stationary_and_include_abstainer_vertex(p, m, mu):
+    params = GantanganParams(p, m, 1.0)
+    reports = find_fixed_points(params, mu)
+    assert any(np.array_equal(r.state.x, [0.0, 0.0, 1.0]) for r in reports)
+    for r in reports:
+        assert _recomputed_residual(r, params, mu) <= 1e-8
 
 
 def test_mutation_search_is_deterministic():
