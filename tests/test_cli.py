@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,25 @@ def test_infinite_horizon_is_domain_error(capsys):
     for command in ("simulate", "portrait"):
         assert main([command, "--p-es", "2", "--m-ss", "1", "--t-end", "inf"]) == EXIT_DOMAIN
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p-es", "2", "--m-ss", "1", "--n", "1e154", "--dt", "0.01", "--t-end", "0.05"],
+        ["portrait", "--p-es", "2", "--m-ss", "1", "--n", "1e154"],
+    ],
+)
+def test_overflowing_step_is_domain_error(capsys, argv):
+    # At n = 1e154 the first step overflows to NaN, which must not pass the
+    # simplex guard and be printed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "state left the simplex" in captured.err
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out.lower()
 
 
 def _json_records(doc: dict) -> list[dict]:

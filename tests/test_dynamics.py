@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gantangan import (
     GantanganParams,
@@ -17,6 +19,7 @@ from gantangan import (
     trajectory_phi,
     uniform_kernel,
 )
+from gantangan.dynamics import _scalar_field
 
 from reference import direct_velocity, euler_endpoint
 
@@ -119,6 +122,27 @@ def test_derivative_matches_direct_transcription():
         state = _random_state(rng)
         expected = direct_velocity(state.x.tolist(), a.tolist(), kernel.q.tolist())
         assert np.max(np.abs(derivative(state, a, kernel) - expected)) <= 1e-12
+
+
+def test_integrator_field_matches_oracle_and_numpy_field():
+    # Criterion 8's draws, run through the float field that integrate steps with.
+    rng = np.random.default_rng(108)
+    eye = np.eye(3).tolist()
+    for _ in range(1000):
+        a = build_payoff(_random_params(rng))
+        kernel = uniform_kernel(rng.uniform(0.0, 0.9))
+        x = PopulationState(rng.dirichlet(np.ones(3))).x
+        for q, numpy_field in (
+            (kernel.q, replicator_mutator_field(x, a, kernel.q)),
+            (None, replicator_field(x, a)),
+        ):
+            got = np.array(_scalar_field(a, q)(*x.tolist()))
+            want = direct_velocity(x.tolist(), a.tolist(), eye if q is None else q.tolist())
+            assert np.max(np.abs(got - want)) <= 1e-12
+            # The numpy products may round in another order. Rounding scales
+            # with the fitness terms, not the field, which cancels near rest
+            # points: the gap reached 1.3e-14 of the field's max-norm.
+            assert np.max(np.abs(got - numpy_field)) <= 1e-15 * np.max(np.abs(a @ x))
 
 
 # -------------------------------------------------------------- integrate
@@ -247,6 +271,44 @@ def test_mutation_keeps_every_strategy_alive():
         atol=1e-12,
     )
     assert np.max(np.abs(end - sol.y[:, -1])) <= 1e-6
+
+
+_flows = dict(
+    p=st.floats(0.05, 20.0),
+    m=st.floats(0.05, 20.0),
+    mu=st.floats(0.0, 0.9),
+    weights=st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0.0),
+    dt=st.sampled_from([0.01, 0.02]),
+)
+
+
+def _start(weights) -> PopulationState:
+    w = np.array(weights)
+    return PopulationState(w / w.sum())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(**_flows, steps=st.integers(1, 250))
+def test_integrate_stays_on_simplex(p, m, mu, weights, dt, steps):
+    try:
+        traj = integrate(_start(weights), GantanganParams(p, m), mu, dt, steps * dt)
+    except StepSizeError:
+        return
+    assert np.all(traj.states >= 0.0)
+    assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(**_flows, steps=st.integers(1, 250), tol=st.sampled_from([1e-10, 1e-4, 1e-2]))
+def test_early_stop_is_a_prefix_of_the_full_run(p, m, mu, weights, dt, steps, tol):
+    args = (_start(weights), GantanganParams(p, m), mu, dt, steps * dt)
+    try:
+        full = integrate(*args)
+    except StepSizeError:
+        assume(False)
+    stopped = integrate(*args, converge_tol=tol)
+    assert np.array_equal(stopped.states, full.states[: len(stopped)])
+    assert np.array_equal(stopped.times, full.times[: len(stopped)])
 
 
 # ---------------------------------------------------------- trajectory phi
