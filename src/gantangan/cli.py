@@ -1,10 +1,10 @@
-"""Command-line front end and CSV/JSON emission.
+"""Command-line front end.
 
 Commands: simulate (one trajectory), equilibria (stationary states), sweep
 (attractor map over a parameter grid), portrait (trajectory bundle from a
 seed lattice). Output is plot-ready text: trajectories carry ternary (u, v)
 coordinates so external tools can draw the triangle directly. Identical
-invocations produce byte-identical files.
+invocations produce byte-identical files; :mod:`gantangan.output` writes them.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
 """
@@ -14,23 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import Trajectory, horizon_steps, integrate, trajectory_phi, uniform_kernel
-from .equilibria import (
-    FixedPointReport,
-    SweepCell,
-    check_range,
-    check_seed_count,
-    find_fixed_points,
-    portrait,
-    sweep,
-    ternary_coordinates,
-)
+from .dynamics import horizon_steps, integrate, uniform_kernel
+from .equilibria import check_range, check_seed_count, find_fixed_points, portrait, sweep
 from .game import GantanganParams, PopulationState
+from .output import emit_equilibria, emit_portrait, emit_sweep, emit_trajectory
 
 __all__ = [
     "RunConfig",
@@ -50,17 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-# One row schema per command: the CSV header and the JSON keys of a record.
-_TRAJECTORY_COLUMNS = ("t", "x_alpha", "x_beta", "x_gamma", "u", "v", "phi")
-_EQUILIBRIA_COLUMNS = (
-    "x_alpha", "x_beta", "x_gamma", "residual",
-    "eig1_re", "eig1_im", "eig2_re", "eig2_im", "stability", "location",
-)
-_SWEEP_COLUMNS = (
-    "p_es", "m_ss", "attractor", "fixed_point_count", "end_x_alpha", "end_x_beta", "end_x_gamma",
-)
-_PORTRAIT_COLUMNS = ("seed",) + _TRAJECTORY_COLUMNS
 
 
 def _reals(value) -> tuple[float, float, float]:
@@ -261,127 +241,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     return _resolve(list(argv))[0]
 
 
-def _fmt(value: float | int | str) -> str:
-    """CSV text of one cell: floats to 9 significant digits, without a
-    negative-zero sign; ints and labels as they are."""
-    if isinstance(value, (int, str)):
-        return str(value)
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # drop any negative-zero sign
-    return format(v, ".9g")
-
-
-def _jnum(value: float | int | str) -> float | int | str:
-    """JSON value of one cell: floats rounded exactly as in the CSV."""
-    if isinstance(value, (int, str)):
-        return value
-    return float(_fmt(value))
-
-
-def _csv(columns: tuple[str, ...], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(columns)]
-    lines += (",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _records(columns: tuple[str, ...], rows: Iterable[Sequence]) -> list[dict]:
-    return [dict(zip(columns, map(_jnum, row))) for row in rows]
-
-
-def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _write_text(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _trajectory_table(traj: Trajectory) -> Iterator[list[float]]:
-    """Rows of ``_TRAJECTORY_COLUMNS``, read one at a time from a (k, 7) array."""
-    table = np.column_stack(
-        [traj.times, traj.states, ternary_coordinates(traj.states), trajectory_phi(traj)]
-    )
-    return (row.tolist() for row in table)
-
-
-def _run_json(traj: Trajectory) -> dict:
-    params = traj.params
-    return {
-        "params": {"p_es": params.p_es, "m_ss": params.m_ss, "n": params.n},
-        "mu": traj.mu,
-        "dt": traj.dt,
-    }
-
-
-def emit_trajectory(traj: Trajectory, fmt: str = "csv", out: str = "-") -> None:
-    """Serialize one trajectory; CSV rows are ordered by time."""
-    rows = _trajectory_table(traj)
-    if fmt == "csv":
-        text = _csv(_TRAJECTORY_COLUMNS, rows)
-    else:
-        text = _json({**_run_json(traj), "points": _records(_TRAJECTORY_COLUMNS, rows)})
-    _write_text(out, text)
-
-
-def _equilibria_row(report: FixedPointReport) -> tuple:
-    e1, e2 = report.eigenvalues
-    return (
-        *report.state.x, report.residual, e1.real, e1.imag, e2.real, e2.imag,
-        report.stability.value, report.location.value,
-    )
-
-
-def emit_equilibria(reports: list[FixedPointReport], fmt: str = "csv", out: str = "-") -> None:
-    """Serialize stationary-state reports, sorted by (x_alpha, x_beta) descending."""
-    ordered = sorted(reports, key=lambda r: (-r.state.x[0], -r.state.x[1]))
-    rows = map(_equilibria_row, ordered)
-    if fmt == "csv":
-        text = _csv(_EQUILIBRIA_COLUMNS, rows)
-    else:
-        text = _json({"points": _records(_EQUILIBRIA_COLUMNS, rows)})
-    _write_text(out, text)
-
-
-def _sweep_row(cell: SweepCell) -> tuple:
-    return (
-        cell.p_es, cell.m_ss, cell.attractor_label.value, cell.fixed_point_count,
-        *cell.endpoint.x,
-    )
-
-
-def emit_sweep(cells: list[SweepCell], fmt: str = "csv", out: str = "-") -> None:
-    """Serialize sweep cells in their row-major (p outer, m inner) order."""
-    rows = map(_sweep_row, cells)
-    if fmt == "csv":
-        text = _csv(_SWEEP_COLUMNS, rows)
-    else:
-        text = _json({"cells": _records(_SWEEP_COLUMNS, rows)})
-    _write_text(out, text)
-
-
-def emit_portrait(trajectories: list[Trajectory], fmt: str = "csv", out: str = "-") -> None:
-    """Serialize a trajectory bundle with a leading seed index column."""
-    if fmt == "csv":
-        rows = (
-            [seed, *row]
-            for seed, traj in enumerate(trajectories)
-            for row in _trajectory_table(traj)
-        )
-        text = _csv(_PORTRAIT_COLUMNS, rows)
-    else:
-        bundle = [
-            {"seed": seed, "points": _records(_TRAJECTORY_COLUMNS, _trajectory_table(traj))}
-            for seed, traj in enumerate(trajectories)
-        ]
-        text = _json({**_run_json(trajectories[0]), "trajectories": bundle})
-    _write_text(out, text)
-
-
 def _run(cfg: RunConfig) -> None:
     if cfg.command == "sweep":
         cells = sweep(cfg.p_grid, cfg.m_grid, cfg.n, cfg.mu, PopulationState(np.array(cfg.x0)))
@@ -414,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # e.g. a horizon whose state array numpy cannot allocate
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
 

@@ -49,8 +49,9 @@ __all__ = [
     "VERTEX_LABEL_TOL",
 ]
 
-# A candidate counts as stationary only if the recomputed velocity max-norm
-# stays below this.
+# A candidate counts as stationary only if the recomputed velocity max-norm,
+# divided by the payoff scale n (which scales the whole field), stays below
+# this.
 RESIDUAL_BOUND = 1e-8
 
 # Newton refinement targets a much tighter residual than candidates must
@@ -61,8 +62,9 @@ NEWTON_MAX_ITER = 100
 # Two candidates within this max-norm distance are the same stationary state.
 DEDUP_RADIUS = 1e-6
 
-# Eigenvalue real parts within this band of zero make a point nonhyperbolic;
-# ties such as p_es = m_ss produce genuine zero eigenvalues.
+# Eigenvalue real parts within this band of zero, divided by the payoff scale
+# n, make a point nonhyperbolic; ties such as p_es = m_ss produce genuine zero
+# eigenvalues.
 EIGENVALUE_ZERO_BAND = 1e-9
 
 # The resultant search under mutation works in the three cyclic strategy
@@ -189,6 +191,11 @@ def _residual(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -> float:
     return float(np.max(np.abs(replicator_mutator_field(x, payoff, q))))
 
 
+def _stationary(residual: float, n: float) -> bool:
+    # Written as the accepting test, so that a NaN residual fails it.
+    return residual / n <= RESIDUAL_BOUND
+
+
 def _locate(x: np.ndarray, tol: float = 1e-7) -> Location:
     zeros = x <= tol
     if zeros.sum() == 2:
@@ -211,21 +218,24 @@ def classify_stability(
 
     The 3x3 Jacobian is compressed onto the simplex tangent plane (the plane
     is invariant because velocity components sum to zero along it) and its
-    two eigenvalues decide the label: both real parts below -1e-9 is a SINK,
-    both above +1e-9 a SOURCE, one on each side a SADDLE, and anything with a
-    real part inside the band is NONHYPERBOLIC.
+    two eigenvalues decide the label. Both the residual and the eigenvalues
+    scale with n, so each is divided by n before it meets its bound: both
+    real parts below -1e-9 n is a SINK, both above +1e-9 n a SOURCE, one on
+    each side a SADDLE, and anything with a real part inside the band is
+    NONHYPERBOLIC. The report keeps the unscaled numbers.
     """
     if residual is None:
         residual = _residual(state.x, build_payoff(params), uniform_kernel(mu).q)
-    if residual > RESIDUAL_BOUND:
+    if not _stationary(residual, params.n):
         raise ValueError(
-            f"candidate is not stationary: residual {residual:.3e} > {RESIDUAL_BOUND:g}"
+            f"candidate is not stationary: residual {residual:.3e} > "
+            f"{RESIDUAL_BOUND:g} * n = {RESIDUAL_BOUND * params.n:.3e}"
         )
     jac = jacobian(state, params, mu)
     eigs = np.linalg.eigvals(_TANGENT.T @ jac @ _TANGENT)
     pair = tuple(sorted((complex(e) for e in eigs), key=lambda e: (-e.real, -e.imag)))
-    negative = sum(1 for e in pair if e.real < -EIGENVALUE_ZERO_BAND)
-    positive = sum(1 for e in pair if e.real > EIGENVALUE_ZERO_BAND)
+    negative = sum(1 for e in pair if e.real / params.n < -EIGENVALUE_ZERO_BAND)
+    positive = sum(1 for e in pair if e.real / params.n > EIGENVALUE_ZERO_BAND)
     if negative == 2:
         stability = Stability.SINK
     elif positive == 2:
@@ -423,8 +433,10 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
     ``params``.
 
     Candidates are deduplicated within 1e-6 in the max norm, required to have
-    residual at most 1e-8, and returned sorted by (x_alpha, x_beta)
-    descending.
+    residual at most 1e-8 n, and returned sorted by (x_alpha, x_beta)
+    descending. Since the bounds on residuals and eigenvalues scale with n,
+    the count, order, location and stability of the listing do not depend on
+    n.
     """
     payoff = build_payoff(params)
     kernel = uniform_kernel(mu)
@@ -442,7 +454,7 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
         if any(float(np.max(np.abs(x - y))) <= DEDUP_RADIUS for y in kept):
             continue
         residual = _residual(x, payoff, kernel.q)
-        if residual > RESIDUAL_BOUND:
+        if not _stationary(residual, params.n):
             continue
         kept.append(x)
         reports.append(

@@ -1,0 +1,182 @@
+"""CSV and JSON output of the four commands, from one row writer.
+
+Each command has one row schema, its columns in order with their kinds, and
+each row is formatted once with the schema's ``%`` template: a float to 9
+significant digits (``%.9g``, negative zero written as zero), an int or a
+label as its text. CSV writes these lines under a header of the column
+names. JSON splits a line into its cells and writes each cell's JSON text
+into records laid out as ``json.dumps(indent=2)`` lays them out, so that
+both formats carry the same rounded values. Output is written as it is
+formatted.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from collections.abc import Iterable, Iterator
+
+import numpy as np
+
+from .dynamics import Trajectory, trajectory_phi
+from .equilibria import FixedPointReport, SweepCell, ternary_coordinates
+
+__all__ = ["emit_trajectory", "emit_equilibria", "emit_sweep", "emit_portrait"]
+
+# One row schema per command: its columns in order, each with its kind.
+_TRAJECTORY = dict.fromkeys(("t", "x_alpha", "x_beta", "x_gamma", "u", "v", "phi"), float)
+_PORTRAIT = {"seed": int, **_TRAJECTORY}
+_EQUILIBRIA = dict(
+    x_alpha=float, x_beta=float, x_gamma=float, residual=float,
+    eig1_re=float, eig1_im=float, eig2_re=float, eig2_im=float, stability=str, location=str,
+)
+_SWEEP = dict(
+    p_es=float, m_ss=float, attractor=str, fixed_point_count=int,
+    end_x_alpha=float, end_x_beta=float, end_x_gamma=float,
+)
+
+# Trajectory rows become Python floats this many at a time, so that a long
+# run never holds its whole table as Python objects.
+_BLOCK_ROWS = 512
+
+
+def _json_float(text: str) -> str:
+    """JSON text of a float cell whose CSV text is ``text``; equals
+    ``json.dumps(float(text))`` for every finite value.
+
+    Fixed notation with a point (exponent -4 to 8) is already the shortest
+    text that reads back as its float, which is what ``repr`` prints. An
+    integer value (``7``), an exponent of 9 to 15 (``1.23456789e+09``) and a
+    subnormal (``4.94065646e-322``) are not, so those go through the float.
+    """
+    return text if "." in text and "e" not in text else repr(float(text))
+
+
+# Each kind's `%` format, and the JSON text of a cell from its CSV text.
+_KINDS = {float: ("%.9g", _json_float), int: ("%d", str), str: ("%s", json.dumps)}
+
+
+def _line(schema: dict) -> str:
+    return ",".join(_KINDS[kind][0] for kind in schema.values())
+
+
+def _csv(schema: dict, blocks: Iterable[list[tuple]]) -> Iterator[str]:
+    yield ",".join(schema) + "\n"
+    line = _line(schema) + "\n"
+    for rows in blocks:
+        yield "".join([line % row for row in rows])
+
+
+def _json_array(schema: dict, blocks: Iterable[list[tuple]], indent: str) -> Iterator[str]:
+    """A JSON array of one record per row, laid out as ``json.dumps(indent=2)``
+    lays it out when its closing bracket sits at ``indent``."""
+    item = indent + "  "
+    keys = ",\n".join(f"{item}  {json.dumps(c)}: %s" for c in schema)
+    record = f"{item}{{\n{keys}\n{item}}}"
+    line, cells = _line(schema), [_KINDS[kind][1] for kind in schema.values()]
+    sep = "[\n"
+    for rows in blocks:
+        if rows:
+            yield sep + ",\n".join([
+                record % tuple([cell(text) for cell, text in zip(cells, (line % row).split(","))])
+                for row in rows
+            ])
+            sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n" + indent + "]"
+
+
+def _json(head: dict, key: str, array: Iterable[str]) -> Iterator[str]:
+    """``head`` with ``key`` added last, holding the text of ``array``, laid
+    out as ``json.dumps(indent=2)`` lays out the whole document."""
+    yield json.dumps({**head, key: None}, indent=2).removesuffix("null\n}")
+    yield from array
+    yield "\n}\n"
+
+
+def _write(out: str, chunks: Iterable[str]) -> None:
+    if out == "-":
+        sys.stdout.writelines(chunks)
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+
+
+def _emit(out: str, fmt: str, schema: dict, blocks: Iterable[list[tuple]], head: dict,
+          key: str) -> None:
+    """Write rows as CSV, or as the JSON document ``head`` plus the records under ``key``."""
+    if fmt == "csv":
+        _write(out, _csv(schema, blocks))
+    else:
+        _write(out, _json(head, key, _json_array(schema, blocks, "  ")))
+
+
+def _trajectory_blocks(traj: Trajectory, *lead: int) -> Iterator[list[tuple]]:
+    """Rows of ``_TRAJECTORY``, each led by ``lead``, in blocks of
+    ``_BLOCK_ROWS`` read from one (k, 7) table."""
+    table = np.column_stack(
+        [traj.times, traj.states, ternary_coordinates(traj.states), trajectory_phi(traj)]
+    )
+    table += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
+    for start in range(0, len(table), _BLOCK_ROWS):
+        yield [(*lead, *row) for row in table[start:start + _BLOCK_ROWS].tolist()]
+
+
+def _run_head(traj: Trajectory) -> dict:
+    params = traj.params
+    return {
+        "params": {"p_es": params.p_es, "m_ss": params.m_ss, "n": params.n},
+        "mu": traj.mu,
+        "dt": traj.dt,
+    }
+
+
+def emit_trajectory(traj: Trajectory, fmt: str = "csv", out: str = "-") -> None:
+    """Serialize one trajectory; CSV rows are ordered by time."""
+    _emit(out, fmt, _TRAJECTORY, _trajectory_blocks(traj), _run_head(traj), "points")
+
+
+def _floats(*values) -> Iterator[float]:
+    return (float(v) + 0.0 for v in values)  # -0.0 + 0.0 is +0.0
+
+
+def _equilibria_row(report: FixedPointReport) -> tuple:
+    e1, e2 = report.eigenvalues
+    return (
+        *_floats(*report.state.x, report.residual, e1.real, e1.imag, e2.real, e2.imag),
+        report.stability.value, report.location.value,
+    )
+
+
+def emit_equilibria(reports: list[FixedPointReport], fmt: str = "csv", out: str = "-") -> None:
+    """Serialize stationary-state reports, sorted by (x_alpha, x_beta) descending."""
+    ordered = sorted(reports, key=lambda r: (-r.state.x[0], -r.state.x[1]))
+    _emit(out, fmt, _EQUILIBRIA, [[_equilibria_row(r) for r in ordered]], {}, "points")
+
+
+def _sweep_row(cell: SweepCell) -> tuple:
+    return (*_floats(cell.p_es, cell.m_ss), cell.attractor_label.value, cell.fixed_point_count,
+            *_floats(*cell.endpoint.x))
+
+
+def emit_sweep(cells: list[SweepCell], fmt: str = "csv", out: str = "-") -> None:
+    """Serialize sweep cells in their row-major (p outer, m inner) order."""
+    _emit(out, fmt, _SWEEP, [[_sweep_row(c) for c in cells]], {}, "cells")
+
+
+def _portrait_array(trajectories: list[Trajectory]) -> Iterator[str]:
+    """The JSON array of a bundle: one {"seed", "points"} object per trajectory."""
+    for seed, traj in enumerate(trajectories):
+        yield '%s    {\n      "seed": %d,\n      "points": ' % (",\n" if seed else "[\n", seed)
+        yield from _json_array(_TRAJECTORY, _trajectory_blocks(traj), "      ")
+        yield "\n    }"
+    yield "\n  ]"
+
+
+def emit_portrait(trajectories: list[Trajectory], fmt: str = "csv", out: str = "-") -> None:
+    """Serialize a trajectory bundle with a leading seed index column."""
+    if fmt == "csv":
+        blocks = (b for seed, traj in enumerate(trajectories)
+                  for b in _trajectory_blocks(traj, seed))
+        _write(out, _csv(_PORTRAIT, blocks))
+    else:
+        _write(out, _json(_run_head(trajectories[0]), "trajectories", _portrait_array(trajectories)))

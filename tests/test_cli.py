@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gantangan import GantanganParams, PopulationState, find_fixed_points, integrate
+from gantangan import (
+    AttractorLabel,
+    GantanganParams,
+    Location,
+    PopulationState,
+    Stability,
+    find_fixed_points,
+    integrate,
+)
 from gantangan.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -23,10 +32,13 @@ from gantangan.cli import (
     EXIT_USAGE,
     RunConfig,
     emit_equilibria,
+    emit_sweep,
     emit_trajectory,
     main,
     parse_args,
 )
+from gantangan.dynamics import Trajectory
+from gantangan.equilibria import FixedPointReport, SweepCell
 
 DATA = Path(__file__).parent / "data"
 
@@ -248,6 +260,139 @@ def test_golden_trajectory_file(tmp_path):
     assert out.read_bytes() == (DATA / "trajectory_golden.csv").read_bytes()
 
 
+# Each file was written by the writer that formatted every cell to text, read
+# it back as a float and passed the records to json.dumps(indent=2).
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("simulate_mu_golden.json",
+         ["simulate", "--p-es", "2", "--m-ss", "1", "--mu", "0.01", "--dt", "0.01", "--t-end", "1"]),
+        ("simulate_n1e9_golden.json",
+         ["simulate", "--p-es", "2", "--m-ss", "1", "--n", "1e9", "--dt", "1e-11",
+          "--t-end", "1e-10"]),
+        ("portrait_golden.json",
+         ["portrait", "--p-es", "2", "--m-ss", "1", "--seeds", "2", "--t-end", "0.5"]),
+        ("equilibria_tie_golden.json", ["equilibria", "--p-es", "2", "--m-ss", "2"]),
+        ("equilibria_tie_mu_golden.json",
+         ["equilibria", "--p-es", "2", "--m-ss", "2", "--mu", "0.01"]),
+        ("sweep_golden.json", ["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2"]),
+    ],
+)
+def test_golden_json_file(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(argv + ["--format", "json", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_equilibria_empty_list_gives_empty_json_array(capsys):
+    emit_equilibria([], "json")
+    assert capsys.readouterr().out == '{\n  "points": []\n}\n'
+
+
+# Floats of every shape the cell rule tells apart: fixed notation, integer
+# values, exponents 9 to 15 (printed with an exponent by %.9g, without one by
+# repr), subnormals, signed zeros and magnitudes up to 1e300.
+_CELL_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-1.0, 1.0),
+    st.integers(-10**12, 10**12).map(float),
+    st.floats(1e9, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 4.94065646e-322, 1e9, 1e16, 123456789.0]),
+)
+
+
+def _report(x, residual: float, eigenvalues, stability=Stability.SINK,
+            location=Location.VERTEX_ALPHA) -> FixedPointReport:
+    return FixedPointReport(PopulationState(np.array(x)), residual, eigenvalues,
+                            stability, location)
+
+
+def _json_cells(report: FixedPointReport) -> dict[str, str]:
+    """The raw JSON text of each cell of a one-report equilibria listing."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit_equilibria([report], "json")
+    cells = re.findall(r'^      "(\w+)": (.*?),?$', out.getvalue(), flags=re.M)
+    return dict(cells)
+
+
+def _csv_cells(report: FixedPointReport) -> dict[str, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit_equilibria([report], "csv")
+    return next(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(v=_CELL_FLOATS)
+def test_float_cell_rule(v):
+    # Negative zero loses its sign in both formats; every other value keeps it.
+    text = format(v + 0.0, ".9g")
+    report = _report([1.0, 0.0, 0.0], v, (complex(v, v), complex(-v, 0.0)))
+    csv_cells, json_cells = _csv_cells(report), _json_cells(report)
+    for key in ("residual", "eig1_re", "eig1_im"):
+        assert csv_cells[key] == text
+        assert json_cells[key] == json.dumps(float(text))
+    assert json.loads("[%s]" % json_cells["residual"]) == [float(text)]
+
+
+def test_mixed_rows_in_both_formats():
+    report = _report([1.0, -0.0, 0.0], -0.0, (complex(-2.0, -0.0), complex(1e-17, 2.5e9)),
+                     Stability.NONHYPERBOLIC, Location.VERTEX_ALPHA)
+    assert _csv_cells(report) == {
+        "x_alpha": "1", "x_beta": "0", "x_gamma": "0", "residual": "0",
+        "eig1_re": "-2", "eig1_im": "0", "eig2_re": "1e-17", "eig2_im": "2.5e+09",
+        "stability": "NONHYPERBOLIC", "location": "VERTEX_ALPHA",
+    }
+    assert _json_cells(report) == {
+        "x_alpha": "1.0", "x_beta": "0.0", "x_gamma": "0.0", "residual": "0.0",
+        "eig1_re": "-2.0", "eig1_im": "0.0", "eig2_re": "1e-17", "eig2_im": "2500000000.0",
+        "stability": '"NONHYPERBOLIC"', "location": '"VERTEX_ALPHA"',
+    }
+    cell = SweepCell(1.5, -0.0, AttractorLabel.BETA_DOMINANT, 4,
+                     PopulationState(np.array([4.94065646e-322, 1.0, 0.0])))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit_sweep([cell], "csv")
+        emit_sweep([cell], "json")
+    assert out.getvalue() == (
+        "p_es,m_ss,attractor,fixed_point_count,end_x_alpha,end_x_beta,end_x_gamma\n"
+        "1.5,0,BETA_DOMINANT,4,4.94065646e-322,1,0\n"
+        '{\n  "cells": [\n    {\n      "p_es": 1.5,\n      "m_ss": 0.0,\n'
+        '      "attractor": "BETA_DOMINANT",\n      "fixed_point_count": 4,\n'
+        '      "end_x_alpha": 4.94e-322,\n      "end_x_beta": 1.0,\n'
+        '      "end_x_gamma": 0.0\n    }\n  ]\n}\n'
+    )
+
+
+def test_trajectory_negative_zero_prints_as_zero(tmp_path):
+    traj = Trajectory(np.array([-0.0]), np.array([[1.0, -0.0, 0.0]]),
+                      GantanganParams(2, 1, 1), 0.0, 0.01)
+    out = tmp_path / "traj.csv"
+    emit_trajectory(traj, "csv", str(out))
+    assert _read(out).splitlines()[1] == "0,1,0,0,0,0,3"
+    emit_trajectory(traj, "json", str(out))
+    assert json.loads(_read(out))["points"] == [
+        {"t": 0.0, "x_alpha": 1.0, "x_beta": 0.0, "x_gamma": 0.0, "u": 0.0, "v": 0.0, "phi": 3.0}
+    ]
+    assert "-0" not in _read(out)
+
+
+def test_long_trajectory_json_matches_json_dumps(tmp_path):
+    # Over two row blocks, from a start whose shares decay towards subnormals.
+    argv = ["simulate", "--p-es", "1", "--m-ss", "2", "--x0", "0.05,0.9,0.05", "--t-end", "12"]
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(argv + ["--out", str(csv_out)]) == EXIT_OK
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == EXIT_OK
+    rows = [{k: float(v) for k, v in row.items()}
+            for row in csv.DictReader(io.StringIO(_read(csv_out)))]
+    assert len(rows) == 1201
+    expected = {"params": {"p_es": 1.0, "m_ss": 2.0, "n": 1.0}, "mu": 0.0, "dt": 0.01,
+                "points": rows}
+    assert _read(json_out) == json.dumps(expected, indent=2) + "\n"
+
+
 def test_equilibria_csv_rows(tmp_path):
     reports = find_fixed_points(GantanganParams(1, 3, 1), mu=0.0)
     out = tmp_path / "eq.csv"
@@ -377,6 +522,41 @@ def test_overflowing_step_is_domain_error(capsys, argv):
     assert "state left the simplex" in captured.err
     assert "Traceback" not in captured.err
     assert "nan" not in captured.out.lower()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p-es", "2", "--m-ss", "1", "--t-end", "1e12"],
+        ["portrait", "--p-es", "2", "--m-ss", "1", "--t-end", "1e12", "--seeds", "1"],
+    ],
+)
+def test_horizon_too_long_to_store_is_domain_error(capsys, argv):
+    # 1e14 steps need a 2.1 PiB state array, which numpy refuses without
+    # allocating it: the run fails before its first step, and the process's
+    # peak resident memory (KiB) does not grow.
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    code = main(argv)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def _listing(argv: list[str]) -> list[tuple[str, str]]:
+    code, out = _quiet_main(argv)
+    assert code == EXIT_OK
+    return [(row["stability"], row["location"]) for row in csv.DictReader(io.StringIO(out))]
+
+
+@pytest.mark.parametrize(
+    "flags, n",
+    [(["--mu", "0.01"], "1e8"), ([], "1e8"), ([], "1e154")],
+)
+def test_equilibria_listing_does_not_depend_on_n(flags, n):
+    argv = ["equilibria", "--p-es", "2", "--m-ss", "1", *flags]
+    assert _listing(argv + ["--n", n]) == _listing(argv)
 
 
 def _json_records(doc: dict) -> list[dict]:

@@ -173,6 +173,22 @@ def test_mutation_reports_are_stationary_and_include_abstainer_vertex(p, m, mu):
         assert _recomputed_residual(r, params, mu) <= 1e-8
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    pair=st.sampled_from([(2.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (0.7, 1.9)]),
+    n=st.floats(-3.0, 154.0).map(lambda e: 10.0 ** e),
+    mu=st.sampled_from([0.0, 0.01]),
+)
+def test_listing_does_not_depend_on_payoff_scale(pair, n, mu):
+    # n scales the whole field, and with it every residual and eigenvalue.
+    unit = find_fixed_points(GantanganParams(*pair), mu)
+    scaled = find_fixed_points(GantanganParams(*pair, n), mu)
+    assert len(scaled) == len(unit)
+    for a, b in zip(scaled, unit):
+        assert np.max(np.abs(a.state.x - b.state.x)) <= 1e-9
+        assert (a.stability, a.location) == (b.stability, b.location)
+
+
 def test_mutation_search_is_deterministic():
     params = GantanganParams(2, 1, 1)
     first = find_fixed_points(params, mu=0.05)
