@@ -16,6 +16,7 @@ order depends on the CPU kernel picked at run time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .game import GantanganParams, PopulationState, as_payoff_matrix, build_payo
 
 __all__ = [
     "MutationKernel",
+    "Flow",
+    "flow",
     "Trajectory",
     "StepSizeError",
     "uniform_kernel",
@@ -45,6 +48,10 @@ SIMPLEX_STEP_TOL = 1e-6
 
 # Velocity max-norm below which callers may treat a trajectory as converged.
 CONVERGENCE_RESIDUAL = 1e-10
+
+# (params, mu) pairs whose Flow is kept: a find_fixed_points call under
+# mutation uses two, a sweep cell one.
+FLOW_CACHE_SIZE = 16
 
 
 class StepSizeError(ValueError):
@@ -91,7 +98,7 @@ def replicator_field(x: np.ndarray, payoff: np.ndarray) -> np.ndarray:
 
     Accepts vectors slightly off the simplex, as integrator stages produce.
     No validation is performed. Its Jacobian is closed-form (see
-    ``equilibria.jacobian``), not a finite difference of this function.
+    :meth:`Flow.jacobian`), not a finite difference of this function.
     """
     f = payoff @ x
     return x * (f - x @ f)
@@ -107,20 +114,46 @@ def replicator_mutator_field(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -
     return q.T @ (x * f) - x * (x @ f)
 
 
-def derivative(
-    state: PopulationState,
-    payoff: np.ndarray,
-    kernel: MutationKernel | None = None,
-) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Flow:
+    """The velocity field of one payoff matrix under one mutation kernel."""
+
+    payoff: np.ndarray
+    kernel: MutationKernel
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """Replicator-mutator velocity at a raw frequency vector."""
+        return replicator_mutator_field(x, self.payoff, self.kernel.q)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Closed-form Jacobian of :meth:`field` at a raw frequency vector.
+
+        For F(x) = Q^T (x * Ax) - x (x^T A x) this is
+        DF = Q^T (diag(Ax) + diag(x) A) - phi I - x (Ax + A^T x)^T
+        (Hofbauer & Sigmund 1998).
+        """
+        a, q = self.payoff, self.kernel.q
+        f = a @ x
+        return q.T @ (np.diag(f) + x[:, None] * a) - (x @ f) * np.eye(3) - np.outer(x, f + a.T @ x)
+
+
+@functools.lru_cache(maxsize=FLOW_CACHE_SIZE)
+def flow(params: GantanganParams, mu: float) -> Flow:
+    """The flow of the game ``params`` under the uniform kernel of ``mu``,
+    built and checked once per pair; its arrays are read-only."""
+    payoff = build_payoff(params)
+    payoff.flags.writeable = False
+    return Flow(payoff, uniform_kernel(mu))
+
+
+def derivative(state: PopulationState, payoff: np.ndarray,
+               kernel: MutationKernel | None = None) -> np.ndarray:
     """Time derivative of the frequencies at a validated state.
 
-    With ``kernel=None`` (or the identity kernel) this is the pure replicator
+    With ``kernel=None`` (the identity kernel) this is the pure replicator
     derivative.
     """
-    a = as_payoff_matrix(payoff)
-    if kernel is None:
-        return replicator_field(state.x, a)
-    return replicator_mutator_field(state.x, a, kernel.q)
+    return Flow(as_payoff_matrix(payoff), kernel or uniform_kernel(0.0)).field(state.x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +271,9 @@ def integrate(
     states do not depend on the BLAS kernel numpy picks for 3x3 products.
     """
     n_steps = horizon_steps(dt, t_end)
-    kernel = uniform_kernel(mu)
-    field = _scalar_field(build_payoff(params), None if kernel.mu == 0.0 else kernel.q)
+    game_flow = flow(params, mu)
+    q = None if game_flow.kernel.mu == 0.0 else game_flow.kernel.q
+    field = _scalar_field(game_flow.payoff, q)
     tol = SIMPLEX_STEP_TOL
     # No velocity is below -1, so without converge_tol the run never stops early.
     stop = -1.0 if converge_tol is None else converge_tol
@@ -287,6 +321,5 @@ def integrate(
 
 def trajectory_phi(traj: Trajectory) -> np.ndarray:
     """Average fitness phi at every stored state of a trajectory."""
-    payoff = build_payoff(traj.params)
-    f = traj.states @ payoff.T
+    f = traj.states @ flow(traj.params, traj.mu).payoff.T
     return np.einsum("ij,ij->i", traj.states, f)

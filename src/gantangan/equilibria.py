@@ -19,14 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    CONVERGENCE_RESIDUAL,
-    Trajectory,
-    integrate,
-    replicator_mutator_field,
-    uniform_kernel,
-)
-from .game import GantanganParams, PopulationState, build_payoff
+from .dynamics import CONVERGENCE_RESIDUAL, Flow, Trajectory, flow, integrate
+from .game import GantanganParams, PopulationState
 
 __all__ = [
     "Stability",
@@ -168,27 +162,9 @@ _TANGENT = _tangent_basis()
 _TANGENT.flags.writeable = False
 
 
-def _jacobian(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -> np.ndarray:
-    f = payoff @ x
-    return (
-        q.T @ (np.diag(f) + x[:, None] * payoff)
-        - (x @ f) * np.eye(3)
-        - np.outer(x, f + payoff.T @ x)
-    )
-
-
 def jacobian(state: PopulationState, params: GantanganParams, mu: float = 0.0) -> np.ndarray:
-    """Closed-form Jacobian of the velocity field at ``state``.
-
-    For F(x) = Q^T (x * Ax) - x (x^T A x) this is
-    DF = Q^T (diag(Ax) + diag(x) A) - phi I - x (Ax + A^T x)^T
-    (Hofbauer & Sigmund 1998).
-    """
-    return _jacobian(state.x, build_payoff(params), uniform_kernel(mu).q)
-
-
-def _residual(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -> float:
-    return float(np.max(np.abs(replicator_mutator_field(x, payoff, q))))
+    """Closed-form Jacobian of the velocity field at ``state`` (``Flow.jacobian``)."""
+    return flow(params, mu).jacobian(state.x)
 
 
 def _stationary(residual: float, n: float) -> bool:
@@ -225,7 +201,7 @@ def classify_stability(
     NONHYPERBOLIC. The report keeps the unscaled numbers.
     """
     if residual is None:
-        residual = _residual(state.x, build_payoff(params), uniform_kernel(mu).q)
+        residual = float(np.max(np.abs(flow(params, mu).field(state.x))))
     if not _stationary(residual, params.n):
         raise ValueError(
             f"candidate is not stationary: residual {residual:.3e} > "
@@ -293,9 +269,7 @@ def _lift(z: np.ndarray) -> np.ndarray:
     return np.array([z[0], z[1], 1.0 - z[0] - z[1]])
 
 
-def _newton_refine(
-    seed: np.ndarray, payoff: np.ndarray, q: np.ndarray
-) -> np.ndarray | None:
+def _newton_refine(seed: np.ndarray, game_flow: Flow) -> np.ndarray | None:
     """Damped Newton on the two free coordinates; returns the full simplex
     point on convergence, None when the seed diverges or leaves the domain.
 
@@ -304,7 +278,7 @@ def _newton_refine(
     """
     z = seed.astype(float).copy()
     x = _lift(z)
-    fval = replicator_mutator_field(x, payoff, q)[:2]
+    fval = game_flow.field(x)[:2]
     norm = float(np.max(np.abs(fval)))
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_RESIDUAL:
@@ -312,7 +286,7 @@ def _newton_refine(
                 return None
             np.clip(x, 0.0, None, out=x)
             return x / x.sum()
-        jac = _jacobian(x, payoff, q)
+        jac = game_flow.jacobian(x)
         try:
             step = np.linalg.solve(jac[:2, :2] - jac[:2, 2:], -fval)
         except np.linalg.LinAlgError:
@@ -322,7 +296,7 @@ def _newton_refine(
             trial = z + lam * step
             if trial.min() >= -0.25 and trial.sum() <= 1.25:
                 xtrial = _lift(trial)
-                ftrial = replicator_mutator_field(xtrial, payoff, q)[:2]
+                ftrial = game_flow.field(xtrial)[:2]
                 tnorm = float(np.max(np.abs(ftrial)))
                 if tnorm < norm:
                     z, x, fval, norm = trial, xtrial, ftrial, tnorm
@@ -342,13 +316,14 @@ def _trim(coeffs: np.ndarray, scale: float) -> np.ndarray:
     return coeffs[..., :d]
 
 
-def _frame_cubics(payoff: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _frame_cubics(game_flow: Flow, frame: tuple[int, int, int], s: np.ndarray) -> np.ndarray:
     """Coefficients in t, ascending, of the first two velocity components at
-    x = (s, t, 1 - s - t), one (2, 4) block per value of ``s``.
+    x = (s, t, 1 - s - t) in the order ``frame``, one (2, 4) block per ``s``.
 
     With x = a + b t, where a = (s, 0, 1 - s) and b = (0, 1, -1), the terms
     x * Ax and x^T A x are quadratics in t and x (x^T A x) is a cubic.
     """
+    payoff, q = (m[np.ix_(frame, frame)] for m in (game_flow.payoff, game_flow.kernel.q))
     a = np.stack([s, np.zeros_like(s), 1.0 - s], axis=-1)
     b = np.array([0.0, 1.0, -1.0])
     fa, fb = a @ payoff.T, payoff @ b
@@ -378,7 +353,7 @@ def _near_real(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
                  & (roots.real >= lo - ROOT_SLACK) & (roots.real <= hi + ROOT_SLACK)].real
 
 
-def _resultant_seeds(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+def _resultant_seeds(game_flow: Flow) -> list[np.ndarray]:
     """Newton seeds (x_alpha, x_beta) at the real common zeros of two velocity
     components, from the resultant in each of the three strategy frames."""
     k = np.arange(RESULTANT_NODES)
@@ -386,8 +361,7 @@ def _resultant_seeds(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
     inverse_dft = np.exp(-2j * np.pi * np.outer(k[: RESULTANT_DEGREE + 1], k) / RESULTANT_NODES)
     seeds = []
     for frame in _FRAMES:
-        pf, qf = payoff[np.ix_(frame, frame)], q[np.ix_(frame, frame)]
-        cubics = _frame_cubics(pf, qf, nodes)
+        cubics = _frame_cubics(game_flow, frame, nodes)
         scale = float(np.max(np.abs(cubics)))
         values = np.linalg.det(
             _sylvester(_trim(cubics[:, 0], scale), _trim(cubics[:, 1], scale)))
@@ -395,7 +369,7 @@ def _resultant_seeds(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
         coeffs = (inverse_dft @ values).real / RESULTANT_NODES
         w = np.roots(_trim(coeffs, float(np.max(np.abs(coeffs))))[::-1])
         s_values = _near_real(0.5 + 0.5 * w, 0.0, 1.0)
-        for s, cubic in zip(s_values, _frame_cubics(pf, qf, s_values)[:, 1]):
+        for s, cubic in zip(s_values, _frame_cubics(game_flow, frame, s_values)[:, 1]):
             for t in _near_real(np.roots(_trim(cubic, scale)[::-1]), 0.0, 1.0 - s):
                 x = np.empty(3)
                 x[list(frame)] = (s, t, 1.0 - s - t)
@@ -403,13 +377,13 @@ def _resultant_seeds(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
     return seeds
 
 
-def _mutation_candidates(payoff: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+def _mutation_candidates(game_flow: Flow) -> list[np.ndarray]:
     """The abstainer vertex, exactly (x * Ax = 0 there, so it is stationary
     for every kernel), and the Newton-polished resultant seeds."""
     gamma = np.array([0.0, 0.0, 1.0])
     out = [gamma]
-    for seed in _resultant_seeds(payoff, q):
-        root = _newton_refine(seed, payoff, q)
+    for seed in _resultant_seeds(game_flow):
+        root = _newton_refine(seed, game_flow)
         if root is not None and float(np.max(np.abs(root - gamma))) > DEDUP_RADIUS:
             out.append(root)
     return out
@@ -438,22 +412,19 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
     the count, order, location and stability of the listing do not depend on
     n.
     """
-    payoff = build_payoff(params)
-    kernel = uniform_kernel(mu)
-    if kernel.mu == 0.0:
+    scaled = flow(params, mu)
+    if scaled.kernel.mu == 0.0:
         candidates = [PopulationState.vertex(s).x for s in (0, 1, 2)]
-        candidates += _edge_candidates(payoff)
-        candidates += _interior_candidate(payoff)
+        candidates += _edge_candidates(scaled.payoff) + _interior_candidate(scaled.payoff)
     else:
-        unit = build_payoff(GantanganParams(params.p_es, params.m_ss))
-        candidates = _mutation_candidates(unit, kernel.q)
+        candidates = _mutation_candidates(flow(GantanganParams(params.p_es, params.m_ss), mu))
     candidates.sort(key=lambda x: (-x[0], -x[1]))
     reports: list[FixedPointReport] = []
     kept: list[np.ndarray] = []
     for x in candidates:
         if any(float(np.max(np.abs(x - y))) <= DEDUP_RADIUS for y in kept):
             continue
-        residual = _residual(x, payoff, kernel.q)
+        residual = float(np.max(np.abs(scaled.field(x))))
         if not _stationary(residual, params.n):
             continue
         kept.append(x)
@@ -492,29 +463,23 @@ def sweep(
     time cap, then matches the endpoint against the vertices.
 
     The scale ``n`` multiplies the whole velocity field, so it only rescales
-    time: cells integrate the n = 1 flow, and the step dt = 0.01, the time cap
-    2000 and the 1e-10 bound are in n = 1 time. Results do not depend on ``n``.
+    time: each cell integrates and counts rest points on the n = 1 flow, with
+    the step dt = 0.01, the time cap 2000 and the 1e-10 bound in n = 1 time.
+    ``n`` is checked once; results do not depend on it.
     """
     check_range("p_range", p_range)
     check_range("m_range", m_range)
+    GantanganParams(p_range[0], m_range[0], n)
     p_values, m_values = (np.linspace(lo, hi, int(k)) for lo, hi, k in (p_range, m_range))
     start = PopulationState.uniform() if x0 is None else x0
     cells: list[SweepCell] = []
     for p in p_values:
         for m in m_values:
-            params = GantanganParams(p, m, n)
-            traj = integrate(start, GantanganParams(p, m), mu, SWEEP_DT, SWEEP_T_CAP,
-                             converge_tol=CONVERGENCE_RESIDUAL)
-            end = traj.final
-            cells.append(
-                SweepCell(
-                    p_es=float(p),
-                    m_ss=float(m),
-                    attractor_label=_attractor_label(end.x),
-                    fixed_point_count=len(find_fixed_points(params, mu)),
-                    endpoint=end,
-                )
-            )
+            params = GantanganParams(p, m)
+            end = integrate(start, params, mu, SWEEP_DT, SWEEP_T_CAP,
+                            converge_tol=CONVERGENCE_RESIDUAL).final
+            count = len(find_fixed_points(params, mu))
+            cells.append(SweepCell(float(p), float(m), _attractor_label(end.x), count, end))
     return cells
 
 
