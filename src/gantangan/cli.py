@@ -18,7 +18,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import horizon_steps, integrate, uniform_kernel
+from .dynamics import flow, horizon_steps, integrate, uniform_kernel
 from .equilibria import check_range, check_seed_count, find_fixed_points, portrait, sweep
 from .game import GantanganParams, PopulationState
 from .output import emit_equilibria, emit_portrait, emit_sweep, emit_trajectory
@@ -109,6 +109,8 @@ class RunConfig:
         else:
             _check("--p-es/--m-ss/--n", GantanganParams, self.p_es, self.m_ss, self.n)
         _check("--mu", uniform_kernel, self.mu)
+        if self.command != "sweep":  # sweep runs the n = 1 flow
+            _check("--n", flow, GantanganParams(self.p_es, self.m_ss, self.n), self.mu)
         _check("--dt/--t-end", horizon_steps, self.dt, self.t_end)
         _check("--x0", PopulationState, np.array(self.x0))
         _check("--seeds", check_seed_count, self.seeds)

@@ -140,10 +140,21 @@ class Flow:
 @functools.lru_cache(maxsize=FLOW_CACHE_SIZE)
 def flow(params: GantanganParams, mu: float) -> Flow:
     """The flow of the game ``params`` under the uniform kernel of ``mu``,
-    built and checked once per pair; its arrays are read-only."""
-    payoff = build_payoff(params)
+    built and checked once per pair; its arrays are read-only.
+
+    On the simplex Ax, A^T x and x^T A x are at most M = max|A| in magnitude,
+    so the field is at most M and the Jacobian, with every sum inside it, at
+    most (2 + mu) M. A game whose (2 + mu) M is not finite is rejected.
+    """
+    kernel = uniform_kernel(mu)
+    with np.errstate(over="ignore"):
+        payoff = build_payoff(params)
+    bound = (2.0 + kernel.mu) * float(np.max(np.abs(payoff)))
+    if not np.isfinite(bound):
+        raise ValueError(f"n={params.n!r} is too large: (2 + mu) * max|payoff|, which bounds "
+                         "the field and its Jacobian on the simplex, is not finite")
     payoff.flags.writeable = False
-    return Flow(payoff, uniform_kernel(mu))
+    return Flow(payoff, kernel)
 
 
 def derivative(state: PopulationState, payoff: np.ndarray,

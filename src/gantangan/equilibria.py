@@ -224,8 +224,9 @@ def classify_stability(
 
 
 def _edge_candidates(payoff: np.ndarray) -> list[np.ndarray]:
-    """Points strictly inside an edge where the two supported strategies have
-    equal fitness; the condition is affine along each edge."""
+    """Points inside an edge, and more than ``DEDUP_RADIUS`` from its ends,
+    where the two supported strategies have equal fitness; the condition is
+    affine along each edge. A point closer to a vertex is that vertex."""
     out: list[np.ndarray] = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
         # Fitness gap of i over j at the j-end (a = 0) and the i-end (a = 1).
@@ -235,34 +236,12 @@ def _edge_candidates(payoff: np.ndarray) -> list[np.ndarray]:
         if abs(denom) < 1e-15:
             continue
         a = gap0 / denom
-        if 1e-9 < a < 1.0 - 1e-9:
+        if DEDUP_RADIUS < a < 1.0 - DEDUP_RADIUS:
             x = np.zeros(3)
             x[i] = a
             x[j] = 1.0 - a
             out.append(x)
     return out
-
-
-def _interior_candidate(payoff: np.ndarray) -> list[np.ndarray]:
-    """Interior point with all three fitnesses equal, if one exists.
-
-    On the simplex the equal-fitness condition is an affine 2x2 system in
-    (x_alpha, x_beta), solved exactly; a singular system means no isolated
-    interior solution.
-    """
-    diff = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    basis = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    anchor = np.array([0.0, 0.0, 1.0])
-    lhs = diff @ payoff @ basis
-    rhs = -diff @ payoff @ anchor
-    try:
-        z = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        return []
-    x = anchor + basis @ z
-    if x.min() > 1e-9:
-        return [x]
-    return []
 
 
 def _lift(z: np.ndarray) -> np.ndarray:
@@ -392,9 +371,10 @@ def _mutation_candidates(game_flow: Flow) -> list[np.ndarray]:
 def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPointReport]:
     """Enumerate the stationary states of the flow for one parameter set.
 
-    Without mutation the three vertices are always stationary; edge points
-    come from the within-edge equal-fitness condition and interior points
-    from the equal-fitness system across all three strategies.
+    Without mutation the three vertices are always stationary and edge
+    points come from the within-edge equal-fitness condition. There is no
+    interior one: the point of equal fitness has x_beta = 2m / (3m - p) and
+    x_gamma = -(m - p)^2 / ((3m - p)(p + m)), never both positive.
 
     With mutation the abstainer vertex (0, 0, 1) is always stationary and the
     other rest points are the real common zeros of two velocity components,
@@ -415,7 +395,7 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
     scaled = flow(params, mu)
     if scaled.kernel.mu == 0.0:
         candidates = [PopulationState.vertex(s).x for s in (0, 1, 2)]
-        candidates += _edge_candidates(scaled.payoff) + _interior_candidate(scaled.payoff)
+        candidates += _edge_candidates(scaled.payoff)
     else:
         candidates = _mutation_candidates(flow(GantanganParams(params.p_es, params.m_ss), mu))
     candidates.sort(key=lambda x: (-x[0], -x[1]))

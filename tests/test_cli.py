@@ -559,6 +559,46 @@ def test_equilibria_listing_does_not_depend_on_n(flags, n):
     assert _listing(argv + ["--n", n]) == _listing(argv)
 
 
+_TOO_LARGE_N = [
+    ["equilibria", "--p-es", "2", "--m-ss", "1", "--n", "1e308"],
+    ["equilibria", "--p-es", "2", "--m-ss", "1", "--n", "1e308", "--mu", "0.01"],
+    ["equilibria", "--p-es", "2", "--m-ss", "1", "--n", "3e307"],
+    ["equilibria", "--p-es", "2", "--m-ss", "1", "--n", "5e307"],
+    ["equilibria", "--p-es", "2", "--m-ss", "1", "--n", "3e307", "--mu", "0.01"],
+    ["simulate", "--p-es", "2", "--m-ss", "1", "--n", "1e308", "--t-end", "0.05"],
+    ["simulate", "--p-es", "2", "--m-ss", "1", "--n", "5e307", "--t-end", "0.05", "--x0", "1,0,0"],
+    ["portrait", "--p-es", "2", "--m-ss", "1", "--n", "1e308", "--t-end", "0.05", "--seeds", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _TOO_LARGE_N, ids=[" ".join(a) for a in _TOO_LARGE_N])
+def test_payoff_scale_past_the_overflow_bound_is_domain_error(capsys, argv):
+    # (2 + mu) * max|payoff| = (2 + mu) * 3n bounds the field and its Jacobian
+    # on the simplex; it must be finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n: n=") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mu", ["0", "0.01"])
+@pytest.mark.parametrize("n", ["1e307", "2e307"])
+def test_payoff_scale_within_the_overflow_bound_lists_the_unit_states(n, mu):
+    argv = ["equilibria", "--p-es", "2", "--m-ss", "1", "--mu", mu]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _listing(argv + ["--n", n]) == _listing(argv)
+
+
+def test_sweep_runs_the_unit_flow_at_any_payoff_scale():
+    argv = ["sweep", "--grid", "1:2:2", "--grid", "1:2:2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _quiet_main(argv + ["--n", "1e308"]) == _quiet_main(argv)
+
+
 def _json_records(doc: dict) -> list[dict]:
     if "trajectories" in doc:
         return [{"seed": t["seed"], **p} for t in doc["trajectories"] for p in t["points"]]
@@ -705,3 +745,55 @@ def test_fuzzed_config_exits_cleanly_and_round_trips(command, data):
             fh.write(dumped)
         # repr compares fields exactly and, unlike ==, treats a NaN as equal to itself.
         assert repr(parse_args([command, "--config", path])) == repr(parse_args(argv))
+
+
+# Inputs for runs, bounded so that no run takes long: at most 1,000 steps,
+# grids of at most 3 steps and at most 4 seeds. n is sometimes drawn at or
+# past the overflow bound of the payoff.
+_RUN_REAL = st.floats(0.05, 20.0).map(repr)
+_RUN_N = st.floats(-3.0, 2.0).map(lambda e: repr(10.0 ** e)) | st.sampled_from(
+    ["1e307", "5e307", "1e308"])
+_RUN_MU = st.sampled_from(["0", "0.01"]) | st.floats(0.0, 0.99).map(repr)
+_RUN_X0 = st.sampled_from(["1,0,0", "0,0,1"]) | st.lists(
+    st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda x: sum(x) > 0.0).map(
+    lambda x: ",".join(repr(v / sum(x)) for v in x))
+_RUN_GRID = st.tuples(st.floats(0.05, 10.0), st.floats(0.01, 10.0), st.integers(2, 3)).map(
+    lambda g: f"{g[0]!r}:{g[0] + g[1]!r}:{g[2]}")
+_RUN_BAD = st.sampled_from(["0", "-1", "nan", "inf", "x", "2:1:2", "0.5,0.5,0.5"])
+
+
+@st.composite
+def _run_argv(draw, tmp: str) -> list[str]:
+    """A valid argv, or one with one input replaced by a bad value."""
+    command = draw(st.sampled_from(["simulate", "equilibria", "sweep", "portrait"]))
+    pairs = [("--n", draw(_RUN_N)), ("--mu", draw(_RUN_MU)),
+             ("--format", draw(st.sampled_from(["csv", "json"]))),
+             ("--out", draw(st.sampled_from(["-", os.path.join(tmp, "out.txt")])))]
+    if command == "sweep":
+        pairs += [("--grid", draw(_RUN_GRID)), ("--grid", draw(_RUN_GRID)),
+                  ("--x0", draw(_RUN_X0))]
+    else:
+        pairs += [("--p-es", draw(_RUN_REAL)), ("--m-ss", draw(_RUN_REAL))]
+    if command in ("simulate", "portrait"):
+        dt = draw(st.sampled_from([0.01, 0.02, 0.1]))
+        pairs += [("--dt", repr(dt)), ("--t-end", repr(dt * draw(st.integers(1, 1000))))]
+    if command == "simulate":
+        pairs.append(("--x0", draw(_RUN_X0)))
+    if command == "portrait":
+        pairs.append(("--seeds", str(draw(st.integers(1, 4)))))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(pairs) - 1))
+        bad = os.path.join(tmp, "missing", "out.txt") if pairs[k][0] == "--out" else draw(_RUN_BAD)
+        pairs[k] = (pairs[k][0], bad)
+    return [command] + [text for pair in pairs for text in pair]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_run_exits_cleanly_without_warnings(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(_run_argv(tmp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = _quiet_main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_IO)

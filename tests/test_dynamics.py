@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +21,7 @@ from gantangan import (
     trajectory_phi,
     uniform_kernel,
 )
-from gantangan.dynamics import _scalar_field
+from gantangan.dynamics import FLOW_CACHE_SIZE, _scalar_field, flow
 
 from reference import direct_velocity, euler_endpoint
 
@@ -143,6 +145,35 @@ def test_integrator_field_matches_oracle_and_numpy_field():
             # with the fitness terms, not the field, which cancels near rest
             # points: the gap reached 1.3e-14 of the field's max-norm.
             assert np.max(np.abs(got - numpy_field)) <= 1e-15 * np.max(np.abs(a @ x))
+
+
+# ------------------------------------------------------------------- flow
+
+
+def test_flow_is_built_once_per_pair_and_read_only():
+    params = GantanganParams(2, 1, 3)
+    game_flow = flow(params, 0.01)
+    assert flow(GantanganParams(2.0, 1.0, 3.0), 0.01) is game_flow
+    assert flow.cache_info().maxsize == FLOW_CACHE_SIZE
+    assert np.array_equal(game_flow.payoff, build_payoff(params))
+    assert np.array_equal(game_flow.kernel.q, uniform_kernel(0.01).q)
+    for array in (game_flow.payoff, game_flow.kernel.q):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01, 0.5])
+@pytest.mark.parametrize("n", [1e307, 2.98e307, 2.99e307, 2.996e307, 2.997e307, 5e307, 1e308])
+def test_flow_rejects_a_scale_whose_jacobian_bound_overflows(n, mu):
+    # The largest payoff entry of (p, m) = (2, 1) is 3n; the rule is that
+    # (2 + mu) * 3n must be finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite((2.0 + mu) * (n * 3.0)):
+            flow(GantanganParams(2, 1, n), mu)
+        else:
+            with pytest.raises(ValueError, match=r"n=.* is too large"):
+                flow(GantanganParams(2, 1, n), mu)
 
 
 # -------------------------------------------------------------- integrate

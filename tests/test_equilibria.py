@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gantangan.equilibria as equilibria_module
 from gantangan import (
     AttractorLabel,
     DominanceKind,
@@ -187,6 +190,72 @@ def test_listing_does_not_depend_on_payoff_scale(pair, n, mu):
     for a, b in zip(scaled, unit):
         assert np.max(np.abs(a.state.x - b.state.x)) <= 1e-9
         assert (a.stability, a.location) == (b.stability, b.location)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    p=st.floats(0.05, 20.0),
+    m=st.floats(0.05, 20.0),
+    n=st.floats(-3.0, 154.0).map(lambda e: 10.0 ** e),
+)
+# An edge rest point 5e-7 from the beta vertex once displaced the vertex.
+@example(p=1.0, m=1.000001, n=1.0)
+def test_vertices_are_rest_points_without_mutation(p, m, n):
+    reports = find_fixed_points(GantanganParams(p, m, n), 0.0)
+    vertices = {tuple(r.state.x.tolist()): r.residual for r in reports
+                if r.location.name.startswith("VERTEX")}
+    assert vertices == {(1.0, 0.0, 0.0): 0.0, (0.0, 1.0, 0.0): 0.0, (0.0, 0.0, 1.0): 0.0}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(p=st.floats(0.05, 20.0), m=st.floats(0.05, 20.0))
+def test_no_interior_point_has_equal_fitness(p, m):
+    # Why find_fixed_points looks for no interior rest point without mutation:
+    # the one point where all three fitnesses are equal is never inside.
+    a = build_payoff(GantanganParams(p, m))
+    try:
+        x = np.linalg.solve(np.vstack([a[0] - a[1], a[1] - a[2], np.ones(3)]), [0.0, 0.0, 1.0])
+    except np.linalg.LinAlgError:
+        return
+    assert x.min() <= 1e-9
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls made through the four names that perfbench/tracing.py
+    swaps in gantangan.equilibria to record its per-layer spans."""
+    counts: Counter[str] = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("integrate", "find_fixed_points", "classify_stability", "jacobian"):
+        monkeypatch.setattr(equilibria_module, name,
+                            counted(name, getattr(equilibria_module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+def test_each_report_is_classified_through_the_traced_names(calls, mu):
+    reports = equilibria_module.find_fixed_points(GantanganParams(1, 3), mu)
+    assert len(reports) == 4
+    assert calls == {"find_fixed_points": 1, "classify_stability": 4, "jacobian": 4}
+
+
+def test_sweep_integrates_and_lists_once_per_cell_through_the_traced_names(calls):
+    cells = equilibria_module.sweep((1.0, 2.0, 2), (0.5, 1.5, 2), n=3.0)
+    reports = sum(c.fixed_point_count for c in cells)
+    assert calls == {"integrate": 4, "find_fixed_points": 4, "classify_stability": reports,
+                     "jacobian": reports}
+
+
+def test_portrait_integrates_once_per_seed_through_the_traced_names(calls):
+    trajectories = equilibria_module.portrait(GantanganParams(2, 1), 0.01, seeds=3, t_end=1.0)
+    assert len(trajectories) == 3
+    assert calls == {"integrate": 3}
 
 
 def test_mutation_search_is_deterministic():
