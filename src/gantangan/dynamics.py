@@ -142,12 +142,13 @@ def flow(params: GantanganParams, mu: float) -> Flow:
     """The flow of the game ``params`` under the uniform kernel of ``mu``,
     built and checked once per pair; its arrays are read-only.
 
-    On the simplex Ax, A^T x and x^T A x are at most M = max|A| in magnitude,
-    so the field is at most M and the Jacobian, with every sum inside it, at
-    most (2 + mu) M. A game whose (2 + mu) M is not finite is rejected.
+    The game's payoffs are nonnegative, so on the simplex Ax, A^T x and
+    x^T A x lie in [0, M] with M = max A: the field is at most M in magnitude
+    and the Jacobian, with every sum inside it, at most (2 + mu) M. A game
+    whose (2 + mu) M is not finite is rejected.
     """
     kernel = uniform_kernel(mu)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
         payoff = build_payoff(params)
     bound = (2.0 + kernel.mu) * float(np.max(np.abs(payoff)))
     if not np.isfinite(bound):

@@ -302,7 +302,8 @@ def _frame_cubics(game_flow: Flow, frame: tuple[int, int, int], s: np.ndarray) -
     With x = a + b t, where a = (s, 0, 1 - s) and b = (0, 1, -1), the terms
     x * Ax and x^T A x are quadratics in t and x (x^T A x) is a cubic.
     """
-    payoff, q = (m[np.ix_(frame, frame)] for m in (game_flow.payoff, game_flow.kernel.q))
+    ix = np.ix_(frame, frame)
+    payoff, q = game_flow.payoff[ix], game_flow.kernel.q[ix]
     a = np.stack([s, np.zeros_like(s), 1.0 - s], axis=-1)
     b = np.array([0.0, 1.0, -1.0])
     fa, fb = a @ payoff.T, payoff @ b
@@ -449,7 +450,7 @@ def sweep(
     """
     check_range("p_range", p_range)
     check_range("m_range", m_range)
-    GantanganParams(p_range[0], m_range[0], n)
+    GantanganParams(p_range[0], m_range[0], n)  # checks n
     p_values, m_values = (np.linspace(lo, hi, int(k)) for lo, hi, k in (p_range, m_range))
     start = PopulationState.uniform() if x0 is None else x0
     cells: list[SweepCell] = []
