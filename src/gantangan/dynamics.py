@@ -49,8 +49,8 @@ SIMPLEX_STEP_TOL = 1e-6
 # Velocity max-norm below which callers may treat a trajectory as converged.
 CONVERGENCE_RESIDUAL = 1e-10
 
-# (params, mu) pairs whose Flow is kept: a find_fixed_points call under
-# mutation uses two, a sweep cell one.
+# (params, mu) pairs whose Flow is kept: a find_fixed_points call or a sweep
+# cell uses one.
 FLOW_CACHE_SIZE = 16
 
 
@@ -143,17 +143,22 @@ def flow(params: GantanganParams, mu: float) -> Flow:
     built and checked once per pair; its arrays are read-only.
 
     The game's payoffs are nonnegative, so on the simplex Ax, A^T x and
-    x^T A x lie in [0, M] with M = max A: the field is at most M in magnitude
-    and the Jacobian, with every sum inside it, at most (2 + mu) M. A game
-    whose (2 + mu) M is not finite is rejected.
+    x^T A x lie in [0, M] with M = max A = n (p_es + m_ss): the field is at
+    most M in magnitude and the Jacobian, with every sum inside it, at most
+    (2 + mu) M. A game whose (2 + mu) M is not finite is rejected, and so is
+    one whose M is below the smallest normal float, since the rest points
+    are decided on the unit game A / M.
     """
     kernel = uniform_kernel(mu)
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
         payoff = build_payoff(params)
-    bound = (2.0 + kernel.mu) * float(np.max(np.abs(payoff)))
-    if not np.isfinite(bound):
+    scale = float(np.max(np.abs(payoff)))
+    if not np.isfinite((2.0 + kernel.mu) * scale):
         raise ValueError(f"n={params.n!r} is too large: (2 + mu) * max|payoff|, which bounds "
                          "the field and its Jacobian on the simplex, is not finite")
+    if scale < np.finfo(float).tiny:
+        raise ValueError(f"n * (p_es + m_ss) = {scale!r} is below the smallest normal float, "
+                         "so the unit game payoff / (n * (p_es + m_ss)) is undefined")
     payoff.flags.writeable = False
     return Flow(payoff, kernel)
 

@@ -44,12 +44,12 @@ __all__ = [
 ]
 
 # A candidate counts as stationary only if the recomputed velocity max-norm,
-# divided by the payoff scale n (which scales the whole field), stays below
-# this.
+# divided by the payoff scale s = max|payoff| = n (p_es + m_ss) (which scales
+# the whole field), stays below this: a bound on the unit game payoff / s.
 RESIDUAL_BOUND = 1e-8
 
-# Newton refinement targets a much tighter residual than candidates must
-# ultimately satisfy, leaving headroom for the clamp-and-renormalize step.
+# Newton refinement on the unit game targets a much tighter residual than
+# candidates must satisfy, leaving headroom for the clamp-and-renormalize step.
 NEWTON_RESIDUAL = 1e-12
 NEWTON_MAX_ITER = 100
 
@@ -57,8 +57,8 @@ NEWTON_MAX_ITER = 100
 DEDUP_RADIUS = 1e-6
 
 # Eigenvalue real parts within this band of zero, divided by the payoff scale
-# n, make a point nonhyperbolic; ties such as p_es = m_ss produce genuine zero
-# eigenvalues.
+# s = n (p_es + m_ss), make a point nonhyperbolic: the band is on the unit game.
+# Ties such as p_es = m_ss produce genuine zero eigenvalues.
 EIGENVALUE_ZERO_BAND = 1e-9
 
 # The resultant search under mutation works in the three cyclic strategy
@@ -167,11 +167,6 @@ def jacobian(state: PopulationState, params: GantanganParams, mu: float = 0.0) -
     return flow(params, mu).jacobian(state.x)
 
 
-def _stationary(residual: float, n: float) -> bool:
-    # Written as the accepting test, so that a NaN residual fails it.
-    return residual / n <= RESIDUAL_BOUND
-
-
 def _locate(x: np.ndarray, tol: float = 1e-7) -> Location:
     zeros = x <= tol
     if zeros.sum() == 2:
@@ -195,23 +190,26 @@ def classify_stability(
     The 3x3 Jacobian is compressed onto the simplex tangent plane (the plane
     is invariant because velocity components sum to zero along it) and its
     two eigenvalues decide the label. Both the residual and the eigenvalues
-    scale with n, so each is divided by n before it meets its bound: both
-    real parts below -1e-9 n is a SINK, both above +1e-9 n a SOURCE, one on
-    each side a SADDLE, and anything with a real part inside the band is
-    NONHYPERBOLIC. The report keeps the unscaled numbers.
+    scale with s = n (p_es + m_ss), so each is divided by s before it meets
+    its bound: both real parts below -1e-9 s is a SINK, both above +1e-9 s a
+    SOURCE, one on each side a SADDLE, and anything with a real part inside
+    the band is NONHYPERBOLIC. The report keeps the unscaled numbers.
     """
+    game_flow = flow(params, mu)
+    scale = float(game_flow.payoff[0, 0])  # max|payoff| = n (p_es + m_ss)
     if residual is None:
-        residual = float(np.max(np.abs(flow(params, mu).field(state.x))))
-    if not _stationary(residual, params.n):
+        residual = float(np.max(np.abs(game_flow.field(state.x))))
+    # Written as the accepting test, so that a NaN residual fails it.
+    if not residual / scale <= RESIDUAL_BOUND:
         raise ValueError(
             f"candidate is not stationary: residual {residual:.3e} > "
-            f"{RESIDUAL_BOUND:g} * n = {RESIDUAL_BOUND * params.n:.3e}"
+            f"{RESIDUAL_BOUND:g} * n (p_es + m_ss) = {RESIDUAL_BOUND * scale:.3e}"
         )
     jac = jacobian(state, params, mu)
     eigs = np.linalg.eigvals(_TANGENT.T @ jac @ _TANGENT)
     pair = tuple(sorted((complex(e) for e in eigs), key=lambda e: (-e.real, -e.imag)))
-    negative = sum(1 for e in pair if e.real / params.n < -EIGENVALUE_ZERO_BAND)
-    positive = sum(1 for e in pair if e.real / params.n > EIGENVALUE_ZERO_BAND)
+    negative = sum(1 for e in pair if e.real / scale < -EIGENVALUE_ZERO_BAND)
+    positive = sum(1 for e in pair if e.real / scale > EIGENVALUE_ZERO_BAND)
     if negative == 2:
         stability = Stability.SINK
     elif positive == 2:
@@ -226,14 +224,15 @@ def classify_stability(
 def _edge_candidates(payoff: np.ndarray) -> list[np.ndarray]:
     """Points inside an edge, and more than ``DEDUP_RADIUS`` from its ends,
     where the two supported strategies have equal fitness; the condition is
-    affine along each edge. A point closer to a vertex is that vertex."""
+    affine along each edge. A point closer to a vertex is that vertex. The
+    point is a ratio of payoff differences, so the payoff scale drops out."""
     out: list[np.ndarray] = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
         # Fitness gap of i over j at the j-end (a = 0) and the i-end (a = 1).
         gap0 = payoff[i, j] - payoff[j, j]
         gap1 = payoff[i, i] - payoff[j, i]
         denom = gap0 - gap1
-        if abs(denom) < 1e-15:
+        if denom == 0.0:
             continue
         a = gap0 / denom
         if DEDUP_RADIUS < a < 1.0 - DEDUP_RADIUS:
@@ -383,22 +382,23 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
     (x_i, x_j, x_k) = (s, t, 1 - s - t), the real roots in [0, 1] of their
     resultant in s (degree at most 9, from Sylvester determinants sampled on
     a circle and an inverse DFT) and then of the cubic in t give the seeds,
-    which damped Newton polishes. Search and polish use the n = 1 payoff,
-    since n only rescales time; residuals and eigenvalues are those of
-    ``params``.
+    which damped Newton polishes. Search and polish run on the unit game
+    payoff / s, where s = max|payoff| = n (p_es + m_ss), since s only
+    rescales time; residuals and eigenvalues are those of ``params``.
 
     Candidates are deduplicated within 1e-6 in the max norm, required to have
-    residual at most 1e-8 n, and returned sorted by (x_alpha, x_beta)
-    descending. Since the bounds on residuals and eigenvalues scale with n,
-    the count, order, location and stability of the listing do not depend on
-    n.
+    residual at most 1e-8 s, and returned sorted by (x_alpha, x_beta)
+    descending. Since the bounds on residuals and eigenvalues scale with s,
+    the count, order, location and stability of the listing depend on
+    m_ss / (p_es + m_ss) and mu alone.
     """
     scaled = flow(params, mu)
+    scale = float(scaled.payoff[0, 0])  # max|payoff| = n (p_es + m_ss)
     if scaled.kernel.mu == 0.0:
         candidates = [PopulationState.vertex(s).x for s in (0, 1, 2)]
         candidates += _edge_candidates(scaled.payoff)
     else:
-        candidates = _mutation_candidates(flow(GantanganParams(params.p_es, params.m_ss), mu))
+        candidates = _mutation_candidates(Flow(scaled.payoff / scale, scaled.kernel))
     candidates.sort(key=lambda x: (-x[0], -x[1]))
     reports: list[FixedPointReport] = []
     kept: list[np.ndarray] = []
@@ -406,7 +406,7 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
         if any(float(np.max(np.abs(x - y))) <= DEDUP_RADIUS for y in kept):
             continue
         residual = float(np.max(np.abs(scaled.field(x))))
-        if not _stationary(residual, params.n):
+        if not residual / scale <= RESIDUAL_BOUND:
             continue
         kept.append(x)
         reports.append(

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -597,6 +599,82 @@ def test_sweep_runs_the_unit_flow_at_any_payoff_scale():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _quiet_main(argv + ["--n", "1e308"]) == _quiet_main(argv)
+
+
+def _points(out: str) -> list[tuple[str, str, list[float]]]:
+    return [(row["stability"], row["location"],
+             [float(row[k]) for k in ("x_alpha", "x_beta", "x_gamma")])
+            for row in csv.DictReader(io.StringIO(out))]
+
+
+# Each argv at a far payoff scale, and an argv of the same unit game
+# A / max|A| at scale about 1.
+_FAR_SCALES = [
+    *[(["--p-es", f"1e{e}", "--m-ss", f"3e{e}", "--mu", "0.01"],
+       ["--p-es", "1", "--m-ss", "3", "--mu", "0.01"]) for e in ("-20", "20", "90")],
+    (["--p-es", "1e-20", "--m-ss", "3e-20"], ["--p-es", "1", "--m-ss", "3"]),
+    (["--p-es", "5e-324", "--m-ss", "2", "--mu", "0.01"],
+     ["--p-es", "5e-324", "--m-ss", "1", "--mu", "0.01"]),
+    (["--p-es", "2e8", "--m-ss", "1e8"], ["--p-es", "2", "--m-ss", "1"]),
+    (["--p-es", "1e308", "--m-ss", "1e307", "--n", "1e-10", "--mu", "0.01"],
+     ["--p-es", "10", "--m-ss", "1", "--mu", "0.01"]),
+]
+
+
+@pytest.mark.parametrize("scaled, unit", _FAR_SCALES, ids=[" ".join(a) for a, _ in _FAR_SCALES])
+def test_equilibria_at_a_far_payoff_scale_lists_the_unit_game(capsys, scaled, unit):
+    # n (p_es + m_ss) only sets the clock: the listing is that of the unit game.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["equilibria", *scaled]) == EXIT_OK
+        far = capsys.readouterr()
+        assert main(["equilibria", *unit]) == EXIT_OK
+    assert far.err == ""
+    got, expected = _points(far.out), _points(capsys.readouterr().out)
+    assert [p[:2] for p in got] == [p[:2] for p in expected]
+    assert np.allclose([p[2] for p in got], [p[2] for p in expected], rtol=0.0, atol=1e-8)
+
+
+_TOO_SMALL_SCALE = [
+    ["equilibria", "--p-es", "1e-200", "--m-ss", "1e-200", "--n", "1e-200", "--mu", "0.01"],
+    ["simulate", "--p-es", "1e-200", "--m-ss", "1e-200", "--n", "1e-200", "--t-end", "0.02"],
+]
+
+
+@pytest.mark.parametrize("argv", _TOO_SMALL_SCALE, ids=[" ".join(a) for a in _TOO_SMALL_SCALE])
+def test_payoff_scale_below_the_smallest_normal_float_is_domain_error(capsys, argv):
+    # n (p_es + m_ss) = 2e-400 underflows to 0: there is no unit game to decide on.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "n * (p_es + m_ss) = 0.0" in captured.err
+
+
+_DETERMINISM_RUNS = [
+    ["equilibria", "--p-es", "1", "--m-ss", "2", "--mu", "0.01", "--format", "json"],
+    ["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2"],
+    ["simulate", "--p-es", "2", "--m-ss", "1", "--mu", "0.01", "--t-end", "0.5"],
+]
+
+
+def test_output_bytes_do_not_depend_on_the_run_or_the_hash_seed(tmp_path):
+    first = [_quiet_main(argv) for argv in _DETERMINISM_RUNS]
+    assert [_quiet_main(argv) for argv in _DETERMINISM_RUNS] == first
+    assert all(code == EXIT_OK for code, _ in first)
+    script = ("import json, sys; from gantangan.cli import main; "
+              "[main(a) for a in json.loads(sys.argv[1])]")
+    src = str(Path(__file__).parents[1] / "src")
+    for seed in ("0", "1"):
+        outs = [tmp_path / f"seed{seed}-{k}.txt" for k in range(len(_DETERMINISM_RUNS))]
+        argvs = [argv + ["--out", str(out)] for argv, out in zip(_DETERMINISM_RUNS, outs)]
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, check=True,
+                       timeout=120)
+        assert [out.read_text(encoding="utf-8") for out in outs] == [text for _, text in first]
 
 
 def _json_records(doc: dict) -> list[dict]:

@@ -176,6 +176,19 @@ def test_flow_rejects_a_scale_whose_jacobian_bound_overflows(n, mu):
                 flow(GantanganParams(2, 1, n), mu)
 
 
+@pytest.mark.parametrize("n", [7.4e-309, 7.416912861e-309, 7.416912862e-309, 7.5e-309, 1e-320])
+def test_flow_rejects_a_scale_below_the_smallest_normal_float(n):
+    # The largest payoff entry of (p, m) = (2, 1) is 3n; the rule is that 3n
+    # must be a normal float, so that the unit game payoff / 3n exists.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if n * 3.0 >= np.finfo(float).tiny:
+            flow(GantanganParams(2, 1, n), 0.01)
+        else:
+            with pytest.raises(ValueError, match=r"n \* \(p_es \+ m_ss\) = .* smallest normal"):
+                flow(GantanganParams(2, 1, n), 0.01)
+
+
 # -------------------------------------------------------------- integrate
 
 

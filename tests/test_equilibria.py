@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -186,6 +187,25 @@ def test_listing_does_not_depend_on_payoff_scale(pair, n, mu):
     # n scales the whole field, and with it every residual and eigenvalue.
     unit = find_fixed_points(GantanganParams(*pair), mu)
     scaled = find_fixed_points(GantanganParams(*pair, n), mu)
+    assert len(scaled) == len(unit)
+    for a, b in zip(scaled, unit):
+        assert np.max(np.abs(a.state.x - b.state.x)) <= 1e-9
+        assert (a.stability, a.location) == (b.stability, b.location)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    pair=st.sampled_from([(2.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (0.7, 1.9)]),
+    c=st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e),
+    n=st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e),
+    mu=st.sampled_from([0.0, 0.01]),
+)
+def test_listing_depends_on_the_unit_game_alone(pair, c, n, mu):
+    # A(c p, c m, n) = c n A(p, m, 1): the payoff scale only sets the clock.
+    unit = find_fixed_points(GantanganParams(*pair), mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = find_fixed_points(GantanganParams(c * pair[0], c * pair[1], n), mu)
     assert len(scaled) == len(unit)
     for a, b in zip(scaled, unit):
         assert np.max(np.abs(a.state.x - b.state.x)) <= 1e-9
