@@ -109,8 +109,14 @@ class RunConfig:
         else:
             _check("--p-es/--m-ss/--n", GantanganParams, self.p_es, self.m_ss, self.n)
         _check("--mu", uniform_kernel, self.mu)
-        if self.command != "sweep":  # sweep runs the n = 1 flow
-            _check("--n", flow, GantanganParams(self.p_es, self.m_ss, self.n), self.mu)
+        if self.command == "sweep":
+            # Each cell runs the n = 1 flow, whose scale p_es + m_ss is least
+            # at the (lo, lo) corner and greatest at the (hi, hi) corner.
+            for k in (0, 1):
+                _check("--grid", flow, GantanganParams(self.p_grid[k], self.m_grid[k]), self.mu)
+        else:
+            _check("--p-es/--m-ss/--n", flow,
+                   GantanganParams(self.p_es, self.m_ss, self.n), self.mu)
         _check("--dt/--t-end", horizon_steps, self.dt, self.t_end)
         _check("--x0", PopulationState, np.array(self.x0))
         _check("--seeds", check_seed_count, self.seeds)

@@ -17,7 +17,8 @@ order depends on the CPU kernel picked at run time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,17 +117,19 @@ def replicator_mutator_field(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -
 
 @dataclass(frozen=True, eq=False)
 class Flow:
-    """The velocity field of one payoff matrix under one mutation kernel."""
+    """The velocity field of one payoff matrix under one mutation kernel;
+    ``velocity`` is it on Python floats (:func:`_scalar_field`), built once."""
 
     payoff: np.ndarray
     kernel: MutationKernel
+    velocity: Callable = field(init=False, repr=False)
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        """Replicator-mutator velocity at a raw frequency vector."""
-        return replicator_mutator_field(x, self.payoff, self.kernel.q)
+    def __post_init__(self) -> None:
+        q = None if self.kernel.mu == 0.0 else self.kernel.q
+        object.__setattr__(self, "velocity", _scalar_field(self.payoff, q))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form Jacobian of :meth:`field` at a raw frequency vector.
+        """Closed-form Jacobian of :attr:`velocity` at a raw frequency vector.
 
         For F(x) = Q^T (x * Ax) - x (x^T A x) this is
         DF = Q^T (diag(Ax) + diag(x) A) - phi I - x (Ax + A^T x)^T
@@ -154,8 +157,8 @@ def flow(params: GantanganParams, mu: float) -> Flow:
         payoff = build_payoff(params)
     scale = float(np.max(np.abs(payoff)))
     if not np.isfinite((2.0 + kernel.mu) * scale):
-        raise ValueError(f"n={params.n!r} is too large: (2 + mu) * max|payoff|, which bounds "
-                         "the field and its Jacobian on the simplex, is not finite")
+        raise ValueError(f"n * (p_es + m_ss) = {scale!r} is too large: (2 + mu) * max|payoff|, "
+                         "which bounds the field and its Jacobian on the simplex, is not finite")
     if scale < np.finfo(float).tiny:
         raise ValueError(f"n * (p_es + m_ss) = {scale!r} is below the smallest normal float, "
                          "so the unit game payoff / (n * (p_es + m_ss)) is undefined")
@@ -170,7 +173,8 @@ def derivative(state: PopulationState, payoff: np.ndarray,
     With ``kernel=None`` (the identity kernel) this is the pure replicator
     derivative.
     """
-    return Flow(as_payoff_matrix(payoff), kernel or uniform_kernel(0.0)).field(state.x)
+    return replicator_mutator_field(state.x, as_payoff_matrix(payoff),
+                                    (kernel or uniform_kernel(0.0)).q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,24 +238,24 @@ def horizon_steps(dt: float, t_end: float) -> int:
 def _scalar_field(payoff: np.ndarray, q: np.ndarray | None):
     """The velocity field on Python floats, as the RK4 loop evaluates it.
 
-    Returns ``field(x0, x1, x2) -> (v0, v1, v2)``. With ``q=None`` it is the
+    Returns ``velocity(x0, x1, x2) -> (v0, v1, v2)``. With ``q=None`` it is the
     replicator form x_i (f_i - phi), otherwise sum_j q[j, i] x_j f_j - x_i phi.
     Every sum runs left to right; the other operations are those of
     :func:`replicator_field` and :func:`replicator_mutator_field`.
     """
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff.tolist()
     if q is None:
-        def field(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
+        def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
             f0 = a00 * x0 + a01 * x1 + a02 * x2
             f1 = a10 * x0 + a11 * x1 + a12 * x2
             f2 = a20 * x0 + a21 * x1 + a22 * x2
             phi = x0 * f0 + x1 * f1 + x2 * f2
             return x0 * (f0 - phi), x1 * (f1 - phi), x2 * (f2 - phi)
-        return field
+        return velocity
 
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q.tolist()
 
-    def field(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
+    def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
         g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
         g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
         g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
@@ -261,7 +265,7 @@ def _scalar_field(payoff: np.ndarray, q: np.ndarray | None):
             q01 * g0 + q11 * g1 + q21 * g2 - x1 * phi,
             q02 * g0 + q12 * g1 + q22 * g2 - x2 * phi,
         )
-    return field
+    return velocity
 
 
 def integrate(
@@ -284,13 +288,11 @@ def integrate(
     With ``converge_tol`` set, integration stops early once the velocity
     max-norm falls below it; the trajectory then ends at the stop time.
 
-    The steps run on Python floats (:func:`_scalar_field`), so the stored
+    The steps run on Python floats (:attr:`Flow.velocity`), so the stored
     states do not depend on the BLAS kernel numpy picks for 3x3 products.
     """
     n_steps = horizon_steps(dt, t_end)
-    game_flow = flow(params, mu)
-    q = None if game_flow.kernel.mu == 0.0 else game_flow.kernel.q
-    field = _scalar_field(game_flow.payoff, q)
+    velocity = flow(params, mu).velocity
     tol = SIMPLEX_STEP_TOL
     # No velocity is below -1, so without converge_tol the run never stops early.
     stop = -1.0 if converge_tol is None else converge_tol
@@ -305,11 +307,11 @@ def integrate(
     sixth = dt / 6.0
     # The field at each stored state is both the convergence test and the
     # next step's first stage.
-    k1a, k1b, k1c = field(a, b, c)
+    k1a, k1b, k1c = velocity(a, b, c)
     for k in range(1, n_steps + 1):
-        k2a, k2b, k2c = field(a + half * k1a, b + half * k1b, c + half * k1c)
-        k3a, k3b, k3c = field(a + half * k2a, b + half * k2b, c + half * k2c)
-        k4a, k4b, k4c = field(a + dt * k3a, b + dt * k3b, c + dt * k3c)
+        k2a, k2b, k2c = velocity(a + half * k1a, b + half * k1b, c + half * k1c)
+        k3a, k3b, k3c = velocity(a + half * k2a, b + half * k2b, c + half * k2c)
+        k4a, k4b, k4c = velocity(a + dt * k3a, b + dt * k3b, c + dt * k3c)
         a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
@@ -327,7 +329,7 @@ def integrate(
         c /= s
         i = 3 * k
         out[i], out[i + 1], out[i + 2] = a, b, c
-        k1a, k1b, k1c = field(a, b, c)
+        k1a, k1b, k1c = velocity(a, b, c)
         # NaN compares False, so a non-finite field never counts as converged.
         if abs(k1a) < stop and abs(k1b) < stop and abs(k1c) < stop:
             last = k

@@ -13,6 +13,7 @@ may be evaluated in parallel, with results always reported in input order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -148,20 +149,6 @@ class SweepCell:
     endpoint: PopulationState
 
 
-def _tangent_basis() -> np.ndarray:
-    # Gram-Schmidt on (e_beta - e_alpha, e_gamma - e_alpha).
-    b1 = np.array([-1.0, 1.0, 0.0])
-    b2 = np.array([-1.0, 0.0, 1.0])
-    t1 = b1 / np.linalg.norm(b1)
-    t2 = b2 - (b2 @ t1) * t1
-    t2 /= np.linalg.norm(t2)
-    return np.column_stack([t1, t2])
-
-
-_TANGENT = _tangent_basis()
-_TANGENT.flags.writeable = False
-
-
 def jacobian(state: PopulationState, params: GantanganParams, mu: float = 0.0) -> np.ndarray:
     """Closed-form Jacobian of the velocity field at ``state`` (``Flow.jacobian``)."""
     return flow(params, mu).jacobian(state.x)
@@ -178,18 +165,38 @@ def _locate(x: np.ndarray, tol: float = 1e-7) -> Location:
     return Location.INTERIOR
 
 
+def _plane(jac: np.ndarray) -> tuple[float, float, float, float]:
+    """Entries (a, b, c, d), row by row, of J[:2, :2] - J[:2, 2:]: the Jacobian
+    of the flow on the simplex plane in (x_alpha, x_beta), x_gamma = 1 - both."""
+    (a, b), (c, d) = (jac[:2, :2] - jac[:2, 2:]).tolist()
+    return a, b, c, d
+
+
+def _plane_eigenvalues(plane: tuple[float, ...], scale: float) -> tuple[complex, complex]:
+    """Eigenvalues of a 2x2, real then imaginary part descending, by the stable
+    quadratic formula on the entries over a power of two near ``scale``: the
+    scaling is exact, and the discriminant cannot overflow."""
+    k = math.frexp(scale)[1]
+    a, b, c, d = (math.ldexp(e, -k) for e in plane)
+    mean = 0.5 * (a + d)
+    disc = (0.5 * (a - d)) ** 2 + b * c
+    if disc < 0.0:
+        re, im = math.ldexp(mean, k), math.ldexp(math.sqrt(-disc), k)
+        return complex(re, im), complex(re, -im)
+    big = mean + math.copysign(math.sqrt(disc), mean)
+    small = (a * d - b * c) / big if big != 0.0 else 0.0
+    return tuple(complex(math.ldexp(e, k)) for e in sorted((big, small), reverse=True))
+
+
 def classify_stability(
-    state: PopulationState,
-    params: GantanganParams,
-    mu: float = 0.0,
-    *,
-    residual: float | None = None,
+    state: PopulationState, params: GantanganParams, mu: float = 0.0
 ) -> FixedPointReport:
     """Finish a stationary-state report for a candidate point.
 
-    The 3x3 Jacobian is compressed onto the simplex tangent plane (the plane
-    is invariant because velocity components sum to zero along it) and its
-    two eigenvalues decide the label. Both the residual and the eigenvalues
+    The residual is the max-norm of ``Flow.velocity`` there. The Jacobian is
+    reduced to the 2x2 of the flow on the simplex plane (invariant, because
+    velocity components sum to zero along it), and its two eigenvalues, in
+    closed form, decide the label. Both the residual and the eigenvalues
     scale with s = n (p_es + m_ss), so each is divided by s before it meets
     its bound: both real parts below -1e-9 s is a SINK, both above +1e-9 s a
     SOURCE, one on each side a SADDLE, and anything with a real part inside
@@ -197,17 +204,14 @@ def classify_stability(
     """
     game_flow = flow(params, mu)
     scale = float(game_flow.payoff[0, 0])  # max|payoff| = n (p_es + m_ss)
-    if residual is None:
-        residual = float(np.max(np.abs(game_flow.field(state.x))))
+    residual = max(map(abs, game_flow.velocity(*state.x.tolist())))
     # Written as the accepting test, so that a NaN residual fails it.
     if not residual / scale <= RESIDUAL_BOUND:
         raise ValueError(
             f"candidate is not stationary: residual {residual:.3e} > "
             f"{RESIDUAL_BOUND:g} * n (p_es + m_ss) = {RESIDUAL_BOUND * scale:.3e}"
         )
-    jac = jacobian(state, params, mu)
-    eigs = np.linalg.eigvals(_TANGENT.T @ jac @ _TANGENT)
-    pair = tuple(sorted((complex(e) for e in eigs), key=lambda e: (-e.real, -e.imag)))
+    pair = _plane_eigenvalues(_plane(jacobian(state, params, mu)), scale)
     negative = sum(1 for e in pair if e.real / scale < -EIGENVALUE_ZERO_BAND)
     positive = sum(1 for e in pair if e.real / scale > EIGENVALUE_ZERO_BAND)
     if negative == 2:
@@ -218,7 +222,7 @@ def classify_stability(
         stability = Stability.SADDLE
     else:
         stability = Stability.NONHYPERBOLIC
-    return FixedPointReport(state, float(residual), pair, stability, _locate(state.x))
+    return FixedPointReport(state, residual, pair, stability, _locate(state.x))
 
 
 def _edge_candidates(payoff: np.ndarray) -> list[np.ndarray]:
@@ -243,41 +247,36 @@ def _edge_candidates(payoff: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _lift(z: np.ndarray) -> np.ndarray:
-    return np.array([z[0], z[1], 1.0 - z[0] - z[1]])
-
-
 def _newton_refine(seed: np.ndarray, game_flow: Flow) -> np.ndarray | None:
     """Damped Newton on the two free coordinates; returns the full simplex
     point on convergence, None when the seed diverges or leaves the domain.
 
     Substituting x_gamma = 1 - z0 - z1 turns the Jacobian of the first two
-    velocity components into J[:2, :2] - J[:2, 2:].
+    velocity components into :func:`_plane`; Cramer's rule solves its system.
     """
-    z = seed.astype(float).copy()
-    x = _lift(z)
-    fval = game_flow.field(x)[:2]
-    norm = float(np.max(np.abs(fval)))
+    z0, z1 = seed.tolist()
+    f0, f1, _ = game_flow.velocity(z0, z1, 1.0 - z0 - z1)
+    norm = max(abs(f0), abs(f1))
     for _ in range(NEWTON_MAX_ITER):
+        x = np.array([z0, z1, 1.0 - z0 - z1])
         if norm <= NEWTON_RESIDUAL:
             if x.min() < -1e-9:
                 return None
             np.clip(x, 0.0, None, out=x)
             return x / x.sum()
-        jac = game_flow.jacobian(x)
-        try:
-            step = np.linalg.solve(jac[:2, :2] - jac[:2, 2:], -fval)
-        except np.linalg.LinAlgError:
+        a, b, c, d = _plane(game_flow.jacobian(x))
+        det = a * d - b * c
+        if det == 0.0:
             return None
+        step0, step1 = (b * f1 - d * f0) / det, (c * f0 - a * f1) / det
         lam = 1.0
         while lam >= 1.0 / 1024.0:
-            trial = z + lam * step
-            if trial.min() >= -0.25 and trial.sum() <= 1.25:
-                xtrial = _lift(trial)
-                ftrial = game_flow.field(xtrial)[:2]
-                tnorm = float(np.max(np.abs(ftrial)))
+            t0, t1 = z0 + lam * step0, z1 + lam * step1
+            if t0 >= -0.25 and t1 >= -0.25 and t0 + t1 <= 1.25:
+                g0, g1, _ = game_flow.velocity(t0, t1, 1.0 - t0 - t1)
+                tnorm = max(abs(g0), abs(g1))
                 if tnorm < norm:
-                    z, x, fval, norm = trial, xtrial, ftrial, tnorm
+                    z0, z1, f0, f1, norm = t0, t1, g0, g1, tnorm
                     break
             lam *= 0.5
         else:
@@ -405,13 +404,10 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
     for x in candidates:
         if any(float(np.max(np.abs(x - y))) <= DEDUP_RADIUS for y in kept):
             continue
-        residual = float(np.max(np.abs(scaled.field(x))))
-        if not residual / scale <= RESIDUAL_BOUND:
+        if not max(map(abs, scaled.velocity(*x.tolist()))) / scale <= RESIDUAL_BOUND:
             continue
         kept.append(x)
-        reports.append(
-            classify_stability(PopulationState(x), params, mu, residual=residual)
-        )
+        reports.append(classify_stability(PopulationState(x), params, mu))
     return reports
 
 

@@ -582,7 +582,29 @@ def test_payoff_scale_past_the_overflow_bound_is_domain_error(capsys, argv):
         assert main(argv) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --n: n=") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --p-es/--m-ss/--n: n * (p_es + m_ss) = ")
+    assert captured.err.count("\n") == 1
+
+
+_SCALE_ERRORS = [
+    (["equilibria", "--p-es", "1e308", "--m-ss", "1e308"],
+     "error: --p-es/--m-ss/--n: n * (p_es + m_ss) = inf is too large: "),
+    (["sweep", "--grid", "1e308:1.5e308:2", "--grid", "1e308:1.5e308:2"],
+     "error: --grid: n * (p_es + m_ss) = inf is too large: "),
+    (["sweep", "--grid", "1e-310:2e-310:2", "--grid", "1e-310:2e-310:2"],
+     "error: --grid: n * (p_es + m_ss) = 2e-310 is below the smallest normal float, "),
+]
+
+
+@pytest.mark.parametrize("argv, prefix", _SCALE_ERRORS, ids=[" ".join(a) for a, _ in _SCALE_ERRORS])
+def test_payoff_scale_error_names_the_flags_at_fault(capsys, argv, prefix):
+    # A sweep runs each cell on the n = 1 flow, so its grid sets the scale.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mu", ["0", "0.01"])

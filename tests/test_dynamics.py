@@ -172,7 +172,7 @@ def test_flow_rejects_a_scale_whose_jacobian_bound_overflows(n, mu):
         if np.isfinite((2.0 + mu) * (n * 3.0)):
             flow(GantanganParams(2, 1, n), mu)
         else:
-            with pytest.raises(ValueError, match=r"n=.* is too large"):
+            with pytest.raises(ValueError, match=r"^n \* \(p_es \+ m_ss\) = .* is too large"):
                 flow(GantanganParams(2, 1, n), mu)
 
 
@@ -329,6 +329,25 @@ _flows = dict(
 def _start(weights) -> PopulationState:
     w = np.array(weights)
     return PopulationState(w / w.sum())
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(**_flows, steps=st.integers(1, 250), j=st.integers(-10, 10), c=st.floats(1.0, 2.0))
+def test_payoff_scale_only_rescales_time(p, m, mu, weights, dt, steps, j, c):
+    # n multiplies the whole field, so (n, dt / n, t_end / n) is the n = 1 run
+    # (t_end <= 5 here); for n a power of two every product is exact.
+    try:
+        unit = integrate(_start(weights), GantanganParams(p, m), mu, dt, steps * dt)
+    except StepSizeError:
+        assume(False)
+    n = 2.0 ** j
+    fast = integrate(_start(weights), GantanganParams(p, m, n), mu, dt / n, steps * dt / n)
+    assert np.array_equal(fast.states, unit.states)
+    assert np.array_equal(fast.times * n, unit.times)
+    n *= c
+    other = integrate(_start(weights), GantanganParams(p, m, n), mu, dt / n, steps * dt / n)
+    assert len(other) == len(unit)
+    assert np.max(np.abs(other.states - unit.states)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None, database=None)

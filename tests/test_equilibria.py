@@ -150,7 +150,8 @@ def _expected_labels(x, a, q) -> tuple[Stability, Location]:
 @pytest.mark.parametrize(
     "p,m,n,mu",
     [(p, m, 1.0, mu) for p, m in ((2, 2), (1, 2), (2, 1)) for mu in (1e-6, 1e-4, 0.01, 0.3, 0.9)]
-    + [(0.01, 100.0, 500.0, 0.01)],
+    # (1, 8) at mu = 0.04 has a spiral sink, with a complex pair.
+    + [(0.01, 100.0, 500.0, 0.01), (1.0, 8.0, 1.0, 0.04)],
 )
 def test_mutation_rest_points_match_independent_scan(p, m, n, mu):
     params = GantanganParams(p, m, n)
@@ -161,6 +162,9 @@ def test_mutation_rest_points_match_independent_scan(p, m, n, mu):
     for report, x in zip(reports, expected):
         assert np.max(np.abs(report.state.x - x)) <= 1e-6
         assert (report.stability, report.location) == _expected_labels(x, a, q)
+        eigs = np.linalg.eigvals(reduced_jacobian(report.state.x, a, q)).astype(complex)
+        want = sorted(eigs.tolist(), key=lambda e: (-e.real, -e.imag))
+        assert np.max(np.abs(np.subtract(report.eigenvalues, want))) <= 1e-12 * a[0, 0]
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -315,13 +319,30 @@ def test_vertex_eigenvalues_are_payoff_differences():
 
 
 def test_tie_beta_vertex_eigenvalues_are_exactly_zero():
-    # At p_es = m_ss the beta vertex has a genuine double zero eigenvalue; a
-    # closed-form Jacobian keeps it at rounding level, far inside the 1e-9
-    # nonhyperbolic band.
-    reports = find_fixed_points(GantanganParams(2, 2, 1), mu=0.0)
-    beta = next(r for r in reports if r.location is Location.VERTEX_BETA)
-    assert beta.stability is Stability.NONHYPERBOLIC
-    assert all(abs(e.real) <= 1e-14 for e in beta.eigenvalues)
+    # Without mutation the beta vertex has a genuine zero eigenvalue, a double
+    # one at p_es = m_ss. The plane Jacobian is triangular at a vertex, so its
+    # closed-form eigenvalues are payoff differences and the zero is exact.
+    for p, m, n in ((2, 2, 1), (2, 1, 1), (2e8, 1e8, 1), (1, 3, 1e-20)):
+        reports = find_fixed_points(GantanganParams(p, m, n), mu=0.0)
+        beta = next(r for r in reports if r.location is Location.VERTEX_BETA)
+        assert beta.stability is Stability.NONHYPERBOLIC
+        assert [e for e in beta.eigenvalues if e == 0.0] == [0.0] * (2 if p == m else 1)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+@pytest.mark.parametrize("p,m", [(1, 3), (2, 2)])
+def test_rest_points_need_no_numpy_eigensolver_or_linear_solver(monkeypatch, p, m, mu):
+    # Newton and stability work on the 2x2 plane Jacobian in closed form.
+    expected = find_fixed_points(GantanganParams(p, m), mu)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    reports = find_fixed_points(GantanganParams(p, m), mu)
+    assert [(r.state.x.tolist(), r.eigenvalues, r.stability) for r in reports] == [
+        (r.state.x.tolist(), r.eigenvalues, r.stability) for r in expected]
 
 
 # -------------------------------------------------------------- stability
