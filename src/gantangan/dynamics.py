@@ -118,7 +118,7 @@ def replicator_mutator_field(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -
 @dataclass(frozen=True, eq=False)
 class Flow:
     """The velocity field of one payoff matrix under one mutation kernel;
-    ``velocity`` is it on Python floats (:func:`_scalar_field`), built once."""
+    ``velocity`` evaluates it on Python floats (:func:`_scalar_field`)."""
 
     payoff: np.ndarray
     kernel: MutationKernel
