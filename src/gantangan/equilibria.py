@@ -62,27 +62,11 @@ DEDUP_RADIUS = 1e-6
 # Ties such as p_es = m_ss produce genuine zero eigenvalues.
 EIGENVALUE_ZERO_BAND = 1e-9
 
-# The resultant search under mutation works in the three cyclic strategy
-# frames (i, j, k), each putting x_i = s, x_j = t, x_k = 1 - s - t: a root
-# cluster that is ill-conditioned in one frame's s is well apart in another's.
-_FRAMES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-# The resultant in s has degree at most 9 (Bezout). It is sampled at the 16
-# points s = (1 + w) / 2 with w the 16th roots of unity, where the inverse
-# discrete Fourier transform recovers its coefficients in w exactly up to
-# rounding; s in [0, 1] is w in [-1, 1].
-RESULTANT_DEGREE = 9
-RESULTANT_NODES = 16
-
-# Roots within this distance of the real interval they must lie in become
-# Newton seeds: a near-double root (a sink and a saddle close together, as on
-# the beta side at small mu) splits into a complex pair about this far apart.
+# Roots in x_beta or x_alpha within this distance of the real interval they
+# must lie in become Newton seeds: a near-double root (a sink and a saddle
+# close together, as on the beta side at small mu) splits into a complex pair
+# about this far apart.
 ROOT_SLACK = 1e-2
-
-# Leading polynomial coefficients below this share of the largest one are
-# rounding noise: the first velocity component has no t^3 term, and in the
-# (1, 2, 0) frame its t^2 term and the second one's t^3 term cancel.
-COEFF_NOISE = 1e-13
 
 # A sweep endpoint within this max-norm distance of a vertex gets that
 # vertex's label; generous against integration error, tiny against the
@@ -284,85 +268,55 @@ def _newton_refine(seed: np.ndarray, game_flow: Flow) -> np.ndarray | None:
     return None
 
 
-def _trim(coeffs: np.ndarray, scale: float) -> np.ndarray:
-    """Drop the leading coefficients (last axis, ascending powers) that are
-    noise against ``scale`` in every row; at least the constant term stays."""
-    d = coeffs.shape[-1]
-    while d > 1 and np.max(np.abs(coeffs[..., d - 1])) <= COEFF_NOISE * scale:
-        d -= 1
-    return coeffs[..., :d]
-
-
-def _frame_cubics(game_flow: Flow, frame: tuple[int, int, int], s: np.ndarray) -> np.ndarray:
-    """Coefficients in t, ascending, of the first two velocity components at
-    x = (s, t, 1 - s - t) in the order ``frame``, one (2, 4) block per ``s``.
-
-    With x = a + b t, where a = (s, 0, 1 - s) and b = (0, 1, -1), the terms
-    x * Ax and x^T A x are quadratics in t and x (x^T A x) is a cubic.
-    """
-    ix = np.ix_(frame, frame)
-    payoff, q = game_flow.payoff[ix], game_flow.kernel.q[ix]
-    a = np.stack([s, np.zeros_like(s), 1.0 - s], axis=-1)
-    b = np.array([0.0, 1.0, -1.0])
-    fa, fb = a @ payoff.T, payoff @ b
-    gain = np.stack([a * fa, a * fb + b * fa, np.broadcast_to(b * fb, a.shape)], axis=-1)
-    phi = gain.sum(axis=1)
-    out = np.zeros(s.shape + (3, 4), dtype=s.dtype)
-    out[..., :3] = np.einsum("li,klp->kip", q, gain) - a[..., None] * phi[:, None, :]
-    out[..., 1:] -= b[:, None] * phi[:, None, :]
-    return out[:, :2]
-
-
-def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sylvester matrices of two polynomials in t whose coefficients, in
-    ascending powers, run along the last axis of ``f`` and ``g``."""
-    df, dg = f.shape[-1] - 1, g.shape[-1] - 1
-    mat = np.zeros(f.shape[:-1] + (df + dg, df + dg), dtype=f.dtype)
-    for r in range(dg):
-        mat[..., r, r:r + df + 1] = f[..., ::-1]
-    for r in range(df):
-        mat[..., dg + r, r:r + dg + 1] = g[..., ::-1]
-    return mat
-
-
 def _near_real(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Real parts of the roots within ``ROOT_SLACK`` of the interval [lo, hi]."""
     return roots[(np.abs(roots.imag) <= ROOT_SLACK)
                  & (roots.real >= lo - ROOT_SLACK) & (roots.real <= hi + ROOT_SLACK)].real
 
 
-def _resultant_seeds(game_flow: Flow) -> list[np.ndarray]:
-    """Newton seeds (x_alpha, x_beta) at the real common zeros of two velocity
-    components, from the resultant in each of the three strategy frames."""
-    k = np.arange(RESULTANT_NODES)
-    nodes = 0.5 + 0.5 * np.exp(2j * np.pi * k / RESULTANT_NODES)
-    inverse_dft = np.exp(-2j * np.pi * np.outer(k[: RESULTANT_DEGREE + 1], k) / RESULTANT_NODES)
+def _mutation_seeds(game_flow: Flow) -> list[np.ndarray]:
+    """Newton seeds (x_alpha, x_beta) at the real common zeros of the unit
+    game's field under the uniform kernel, by elimination (Cox, Little &
+    O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3).
+
+    With (a, b) = (x_alpha, x_beta), h = (p + m) / 2, d = (p - m) / 2,
+    c = 1 - 3 mu / 2 and k = mu / 2, the field is c x_i f_i + k phi - x_i phi.
+    Since f_beta = m + d a and phi = a (p + m - 2 m b) + m b (2 - b), its beta
+    component vanishes where a D(b) = b N(b), with N = m ((b - k)(2 - b) - c)
+    and D = c d b - (b - k)(p + m - 2 m b); and (b - k) F_alpha - (a - k) F_beta
+    = c G(a, b), with G = a^2 (h b - k p) + a (d b^2 - k m) + k m b. So the b
+    of every rest point but the abstainer vertex (the only one with b = 0) is
+    a root of Q = D^2 G(b N / D, b) / b, of degree at most 6, and its a is a
+    root of the quadratic G(., b). The alpha vertex is a seed too: the sink
+    near it sits at b ~ mu, in a root cluster of Q that the companion matrix
+    cannot resolve at tiny mu.
+    """
+    (_, _, m), _, (p, _, _) = game_flow.payoff.tolist()
+    mu = game_flow.kernel.mu
+    h, d, c, k = 0.5 * (p + m), 0.5 * (p - m), 1.0 - 1.5 * mu, 0.5 * mu
+    # Coefficients in descending powers of b, as np.roots takes them.
+    num = m * np.array([-1.0, 2.0 + k, -2.0 * k - c])
+    den = np.array([2.0 * m, c * d - p - m - 2.0 * m * k, k * (p + m)])
+    q = np.polyadd(np.convolve(np.convolve(num, num), [h, -k * p, 0.0]),
+                   np.polyadd(np.convolve(np.convolve(num, den), [d, 0.0, -k * m]),
+                              k * m * np.convolve(den, den)))
     seeds = []
-    for frame in _FRAMES:
-        cubics = _frame_cubics(game_flow, frame, nodes)
-        scale = float(np.max(np.abs(cubics)))
-        values = np.linalg.det(
-            _sylvester(_trim(cubics[:, 0], scale), _trim(cubics[:, 1], scale)))
-        # A real polynomial in s is real in w: imaginary parts are rounding.
-        coeffs = (inverse_dft @ values).real / RESULTANT_NODES
-        w = np.roots(_trim(coeffs, float(np.max(np.abs(coeffs))))[::-1])
-        s_values = _near_real(0.5 + 0.5 * w, 0.0, 1.0)
-        for s, cubic in zip(s_values, _frame_cubics(game_flow, frame, s_values)[:, 1]):
-            for t in _near_real(np.roots(_trim(cubic, scale)[::-1]), 0.0, 1.0 - s):
-                x = np.empty(3)
-                x[list(frame)] = (s, t, 1.0 - s - t)
-                seeds.append(x[:2])
-    return seeds
+    for b in _near_real(np.roots(q), 0.0, 1.0):
+        for a in _near_real(np.roots([h * b - k * p, d * b * b - k * m, k * m * b]), 0.0, 1.0 - b):
+            seeds.append(np.array([a, b]))
+    return seeds + [np.array([1.0, 0.0])]
 
 
 def _mutation_candidates(game_flow: Flow) -> list[np.ndarray]:
     """The abstainer vertex, exactly (x * Ax = 0 there, so it is stationary
-    for every kernel), and the Newton-polished resultant seeds."""
-    gamma = np.array([0.0, 0.0, 1.0])
-    out = [gamma]
-    for seed in _resultant_seeds(game_flow):
+    for every kernel), and the Newton-polished :func:`_mutation_seeds`. Of
+    roots within ``DEDUP_RADIUS`` of each other the first is kept: the exact
+    vertex, then a root from the eliminant's seeds, which start closer than
+    the alpha vertex and so end with a smaller residual."""
+    out = [np.array([0.0, 0.0, 1.0])]
+    for seed in _mutation_seeds(game_flow):
         root = _newton_refine(seed, game_flow)
-        if root is not None and float(np.max(np.abs(root - gamma))) > DEDUP_RADIUS:
+        if root is not None and all(float(np.max(np.abs(root - x))) > DEDUP_RADIUS for x in out):
             out.append(root)
     return out
 
@@ -375,13 +329,11 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
     interior one: the point of equal fitness has x_beta = 2m / (3m - p) and
     x_gamma = -(m - p)^2 / ((3m - p)(p + m)), never both positive.
 
-    With mutation the abstainer vertex (0, 0, 1) is always stationary and the
-    other rest points are the real common zeros of two velocity components,
-    cubics on the simplex plane. In each of the three cyclic strategy frames
-    (x_i, x_j, x_k) = (s, t, 1 - s - t), the real roots in [0, 1] of their
-    resultant in s (degree at most 9, from Sylvester determinants sampled on
-    a circle and an inverse DFT) and then of the cubic in t give the seeds,
-    which damped Newton polishes. Search and polish run on the unit game
+    With mutation the abstainer vertex (0, 0, 1) is always stationary. At
+    every other rest point x_beta is a real root of one polynomial of degree
+    at most 6 and x_alpha a root of a quadratic, both in closed form
+    (:func:`_mutation_seeds`); the roots near the simplex, and the alpha
+    vertex, seed damped Newton. Search and polish run on the unit game
     payoff / s, where s = max|payoff| = n (p_es + m_ss), since s only
     rescales time; residuals and eigenvalues are those of ``params``.
 
