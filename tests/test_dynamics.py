@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from gantangan import (
     PopulationState,
     StepSizeError,
     Strategy,
+    Trajectory,
     build_payoff,
     derivative,
     integrate,
@@ -21,7 +23,10 @@ from gantangan import (
     trajectory_phi,
     uniform_kernel,
 )
-from gantangan.dynamics import FLOW_CACHE_SIZE, _scalar_field, flow
+from gantangan import dynamics
+from gantangan.dynamics import (
+    FLOW_CACHE_SIZE, SIMPLEX_STEP_TOL, _scalar_field, flow, horizon_steps,
+)
 
 from reference import direct_velocity, euler_endpoint
 
@@ -238,11 +243,14 @@ def test_integrate_preserves_simplex():
         assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) <= 1e-9
 
 
-def test_oversized_step_raises():
-    with pytest.raises(StepSizeError):
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_oversized_step_raises(mu):
+    # mu = 0 and mu > 0 run separate loops, each with its own simplex check.
+    with pytest.raises(StepSizeError, match=r"^state left the simplex at t=50; dt=50.0 is too large"):
         integrate(
             PopulationState(np.array([0.05, 0.05, 0.9])),
             GantanganParams(2, 1, 1),
+            mu,
             dt=50.0,
             t_end=100.0,
         )
@@ -382,6 +390,107 @@ def test_early_stop_is_a_prefix_of_the_full_run(p, m, mu, weights, dt, steps, to
     assert np.array_equal(stopped.times, full.times[: len(stopped)])
 
 
+def _rk4_over_velocity(x0, params, mu, dt, t_end, converge_tol):
+    """The RK4 loop of integrate, stepping on calls to Flow.velocity."""
+    velocity = flow(params, mu).velocity
+    stop = -1.0 if converge_tol is None else converge_tol
+    half, sixth, tol = 0.5 * dt, dt / 6.0, SIMPLEX_STEP_TOL
+    x = tuple(x0.x.tolist())
+    rows = [x]
+    k1 = velocity(*x)
+    for k in range(1, horizon_steps(dt, t_end) + 1):
+        k2 = velocity(*(xi + half * v for xi, v in zip(x, k1)))
+        k3 = velocity(*(xi + half * v for xi, v in zip(x, k2)))
+        k4 = velocity(*(xi + dt * v for xi, v in zip(x, k3)))
+        a, b, c = (xi + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+                   for xi, v1, v2, v3, v4 in zip(x, k1, k2, k3, k4))
+        if not (a >= -tol and b >= -tol and c >= -tol and abs(a + b + c - 1.0) <= tol):
+            raise StepSizeError(f"state left the simplex at t={k * dt:.6g}; dt={dt} is too large")
+        a, b, c = (xi if xi > 0.0 else 0.0 for xi in (a, b, c))
+        s = a + b + c
+        x = (a / s, b / s, c / s)
+        rows.append(x)
+        k1 = velocity(*x)
+        if all(abs(v) < stop for v in k1):
+            break
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(**{**_flows, "mu": st.one_of(st.just(0.0), st.floats(0.0, 0.9))},
+       n=st.floats(0.1, 10.0), dt_big=st.booleans(), steps=st.integers(1, 250),
+       tol=st.sampled_from([None, 1e-10, 1e-4, 1e-2]))
+@example(p=2.0, m=1.0, mu=0.0, weights=(-0.0, 0.5, 0.5), dt=0.01, n=1.0, dt_big=False, steps=20,
+         tol=None)
+@example(p=2.0, m=1.0, mu=0.05, weights=(-0.0, 0.5, 0.5), dt=0.01, n=1.0, dt_big=False, steps=20,
+         tol=None)
+# Stiff steps that take a share below 0 by more than the rounding of the
+# sum, so that each loop clamps and sums again.
+@example(p=8.496524079144535, m=15.597910913979092, mu=0.0,
+         weights=(0.5621780691061664, 0.43633757544121554, 0.00148435545261812), dt=0.02,
+         n=9.685775546577846, dt_big=False, steps=20, tol=None)
+@example(p=5.922220692744203, m=15.323647447730632, mu=3.1820612343488084e-187,
+         weights=(0.20151218813897365, 0.2992722701946647, 0.4992155416663617), dt=0.02,
+         n=9.682492451987754, dt_big=False, steps=20, tol=None)
+def test_integrate_is_rk4_over_the_flow_velocity(p, m, mu, weights, dt, n, dt_big, steps, tol):
+    # integrate writes the field into its stages; this ties those stages to
+    # Flow.velocity, bit for bit, on both loops and on the error path.
+    dt = 0.5 if dt_big else dt
+    args = (_start(weights), GantanganParams(p, m, n), mu, dt, steps * dt)
+    try:
+        want = _rk4_over_velocity(*args, tol)
+    except StepSizeError as err:
+        with pytest.raises(StepSizeError, match=f"^{re.escape(str(err))}$"):
+            integrate(*args, converge_tol=tol)
+        return
+    got = integrate(*args, converge_tol=tol)
+    assert got.states.tobytes() == want.tobytes()
+    assert np.array_equal(got.times, dt * np.arange(len(want)))
+
+
+def test_capped_sweep_cell_endpoint():
+    # The beta-side sweep cell that runs to the time cap: x_alpha decays
+    # through the subnormals and settles at 5e-322.
+    traj = integrate(PopulationState(np.array([0.0514, 0.9037, 0.0449])),
+                     GantanganParams(1.0012, 1.9881), 0.0, 0.01, 2000.0, converge_tol=1e-10)
+    assert len(traj) == 200_001
+    assert traj.final.x.tolist() == [5e-322, 0.9997495875771084, 0.00025041242289161283]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_integrate_hands_its_arrays_over_uncopied(monkeypatch, mu):
+    buffers = []
+
+    def spy(loop):
+        def run(out, *args):
+            buffers.append(out.obj)
+            return loop(out, *args)
+        return run
+
+    for name in ("_replicator_steps", "_mutator_steps"):
+        monkeypatch.setattr(dynamics, name, spy(getattr(dynamics, name)))
+    full = integrate(PopulationState.uniform(), GantanganParams(2, 1, 1), mu, 0.01, 5.0)
+    assert len(buffers) == 1 and np.shares_memory(full.states, buffers[0])
+    stopped = integrate(PopulationState.uniform(), GantanganParams(2, 1, 1), mu, 0.01, 500.0,
+                        converge_tol=1e-4)
+    # A run that stops early keeps only its own rows.
+    assert len(stopped) < 50_001 and stopped.states.base is None
+    for traj in (full, stopped):
+        for array in (traj.times, traj.states):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def test_trajectory_copies_a_callers_arrays():
+    times = np.array([0.0, 0.1, 0.2])
+    states = np.tile([1.0, 0.0, 0.0], (3, 1))
+    traj = Trajectory(times, states, GantanganParams(2, 1, 1), 0.0, 0.1)
+    times[1], states[1] = 5.0, [0.0, 1.0, 0.0]
+    assert traj.times.tolist() == [0.0, 0.1, 0.2]
+    assert np.array_equal(traj.states, np.tile([1.0, 0.0, 0.0], (3, 1)))
+    assert times.flags.writeable and states.flags.writeable
+
+
 # ---------------------------------------------------------- trajectory phi
 
 
@@ -393,8 +502,6 @@ def test_phi_constant_at_vertices():
 
 
 def test_trajectory_rejects_malformed_grids():
-    from gantangan import Trajectory
-
     params = GantanganParams(2, 1, 1)
     good = np.tile([1.0, 0.0, 0.0], (3, 1))
     with pytest.raises(ValueError):
