@@ -7,6 +7,10 @@ coordinates so external tools can draw the triangle directly. Identical
 invocations produce byte-identical files; :mod:`gantangan.output` writes them.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
+
+Parsing and validation use the library's rules on floats (:mod:`gantangan.rules`)
+and load no numpy; a command imports the modules that compute, and with them
+numpy, when it runs.
 """
 
 from __future__ import annotations
@@ -16,12 +20,10 @@ import json
 import sys
 from dataclasses import Field, dataclass, field, fields
 
-import numpy as np
-
-from .dynamics import flow, horizon_steps, integrate, uniform_kernel
-from .equilibria import check_range, check_seed_count, find_fixed_points, portrait, sweep
-from .game import GantanganParams, PopulationState
-from .output import emit_equilibria, emit_portrait, emit_sweep, emit_trajectory
+from .rules import (
+    check_mu, check_payoff_scale, check_range, check_seed_count, frequency_sum, horizon_steps,
+    positive_params,
+)
 
 __all__ = [
     "RunConfig",
@@ -43,14 +45,46 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 
+# The emitters live in gantangan.output, which imports numpy; they are
+# looked up here on first access (PEP 562).
+_EMITTERS = ("emit_trajectory", "emit_equilibria", "emit_sweep", "emit_portrait")
+
+
+def __getattr__(name: str):
+    if name not in _EMITTERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import output
+
+    return getattr(output, name)
+
+
+# A config file's values reach the converters below as JSON values, a flag's
+# as text. float(True) is 1.0 and int(2.7) is 2, so a JSON boolean and a
+# number with a fraction are turned away first, as their text would be.
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
+def _whole(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
 def _reals(value) -> tuple[float, float, float]:
     a, b, c = value
-    return (float(a), float(b), float(c))
+    return (_real(a), _real(b), _real(c))
 
 
 def _range(value) -> tuple[float, float, int]:
     lo, hi, steps = value
-    return (float(lo), float(hi), int(steps))
+    return (_real(lo), _real(hi), _whole(steps))
 
 
 def _text(value) -> str:
@@ -74,12 +108,12 @@ class RunConfig:
     """Inputs for one CLI run; the fields its command does not read keep their defaults."""
 
     command: str
-    p_es: float | None = _option(None, float, help="economic return, > 0")
-    m_ss: float | None = _option(None, float, help="social gain, > 0")
-    n: float = _option(1.0, float, help="payoff scale factor (default 1)")
-    mu: float = _option(0.0, float, help="mutation rate in [0, 1) (default 0)")
-    dt: float = _option(0.01, float, help="integration step (default 0.01)")
-    t_end: float = _option(500.0, float,
+    p_es: float | None = _option(None, _real, help="economic return, > 0")
+    m_ss: float | None = _option(None, _real, help="social gain, > 0")
+    n: float = _option(1.0, _real, help="payoff scale factor (default 1)")
+    mu: float = _option(0.0, _real, help="mutation rate in [0, 1) (default 0)")
+    dt: float = _option(0.01, _real, help="integration step (default 0.01)")
+    t_end: float = _option(500.0, _real,
                            help="integration horizon, a whole number of steps (default 500)")
     x0: tuple[float, float, float] = _option(
         (1.0 / 3.0,) * 3, _reals, sep=",", help="initial frequencies a,b,c (default uniform)")
@@ -87,7 +121,7 @@ class RunConfig:
         None, _range, sep=":", flag="--grid", action="append", metavar="LO:HI:STEPS",
         help="given twice: p grid, then m grid")
     m_grid: tuple[float, float, int] | None = _option(None, _range, sep=":", flag="--grid")
-    seeds: int = _option(9, int, help="number of lattice seeds (default 9)")
+    seeds: int = _option(9, _whole, help="number of lattice seeds (default 9)")
     out: str = _option("-", _text, help="output path, or - for stdout (default -)")
     fmt: str = _option("csv", _text, key="format", choices=("csv", "json"),
                        help="output format (default csv)")
@@ -97,7 +131,7 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}; expected one of {list(_INPUTS)}")
 
     def validate(self) -> None:
-        """Run the library's own checks on every input, each message led by
+        """Run the library's own rules on every input, each message led by
         the flags it concerns. Only --format, a CLI concept, is checked here."""
         _require(self)
         if self.fmt not in ("csv", "json"):
@@ -105,20 +139,19 @@ class RunConfig:
         if self.command == "sweep":
             _check("--grid", check_range, "p_range", self.p_grid)
             _check("--grid", check_range, "m_range", self.m_grid)
-            _check("--grid/--n", GantanganParams, self.p_grid[0], self.m_grid[0], self.n)
+            _check("--grid/--n", positive_params, self.p_grid[0], self.m_grid[0], self.n)
         else:
-            _check("--p-es/--m-ss/--n", GantanganParams, self.p_es, self.m_ss, self.n)
-        _check("--mu", uniform_kernel, self.mu)
+            _check("--p-es/--m-ss/--n", positive_params, self.p_es, self.m_ss, self.n)
+        _check("--mu", check_mu, self.mu)
         if self.command == "sweep":
             # Each cell runs the n = 1 flow, whose scale p_es + m_ss is least
             # at the (lo, lo) corner and greatest at the (hi, hi) corner.
             for k in (0, 1):
-                _check("--grid", flow, GantanganParams(self.p_grid[k], self.m_grid[k]), self.mu)
+                _check("--grid", check_payoff_scale, self.p_grid[k], self.m_grid[k], 1.0, self.mu)
         else:
-            _check("--p-es/--m-ss/--n", flow,
-                   GantanganParams(self.p_es, self.m_ss, self.n), self.mu)
+            _check("--p-es/--m-ss/--n", check_payoff_scale, self.p_es, self.m_ss, self.n, self.mu)
         _check("--dt/--t-end", horizon_steps, self.dt, self.t_end)
-        _check("--x0", PopulationState, np.array(self.x0))
+        _check("--x0", frequency_sum, self.x0)
         _check("--seeds", check_seed_count, self.seeds)
 
     def to_json(self) -> dict:
@@ -250,12 +283,18 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def _run(cfg: RunConfig) -> None:
+    # The modules that compute, and numpy with them, load only here.
+    from .dynamics import integrate
+    from .equilibria import find_fixed_points, portrait, sweep
+    from .game import GantanganParams, PopulationState
+    from .output import emit_equilibria, emit_portrait, emit_sweep, emit_trajectory
+
     if cfg.command == "sweep":
-        cells = sweep(cfg.p_grid, cfg.m_grid, cfg.n, cfg.mu, PopulationState(np.array(cfg.x0)))
+        cells = sweep(cfg.p_grid, cfg.m_grid, cfg.n, cfg.mu, PopulationState(cfg.x0))
         return emit_sweep(cells, cfg.fmt, cfg.out)
     params = GantanganParams(cfg.p_es, cfg.m_ss, cfg.n)
     if cfg.command == "simulate":
-        traj = integrate(PopulationState(np.array(cfg.x0)), params, cfg.mu, cfg.dt, cfg.t_end)
+        traj = integrate(PopulationState(cfg.x0), params, cfg.mu, cfg.dt, cfg.t_end)
         emit_trajectory(traj, cfg.fmt, cfg.out)
     elif cfg.command == "equilibria":
         emit_equilibria(find_fixed_points(params, cfg.mu), cfg.fmt, cfg.out)

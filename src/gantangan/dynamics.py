@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import GantanganParams, PopulationState, as_payoff_matrix, build_payoff
+from .rules import check_mu, check_payoff_scale, horizon_steps
 
 __all__ = [
     "MutationKernel",
@@ -74,8 +75,7 @@ class MutationKernel:
     mu: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
+        check_mu(self.mu)
         q = np.array(self.q, dtype=float)
         if q.shape != (3, 3):
             raise ValueError(f"kernel must be 3x3, got shape {q.shape}")
@@ -148,23 +148,13 @@ def flow(params: GantanganParams, mu: float) -> Flow:
     """The flow of the game ``params`` under the uniform kernel of ``mu``,
     built and checked once per pair; its arrays are read-only.
 
-    The game's payoffs are nonnegative, so on the simplex Ax, A^T x and
-    x^T A x lie in [0, M] with M = max A = n (p_es + m_ss): the field is at
-    most M in magnitude and the Jacobian, with every sum inside it, at most
-    (2 + mu) M. A game whose (2 + mu) M is not finite is rejected, and so is
-    one whose M is below the smallest normal float, since the rest points
-    are decided on the unit game A / M.
+    A game whose payoff scale n (p_es + m_ss) bounds neither the field nor
+    its Jacobian in floats is rejected (:func:`check_payoff_scale`), before
+    its payoff matrix is built.
     """
     kernel = uniform_kernel(mu)
-    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        payoff = build_payoff(params)
-    scale = float(np.max(np.abs(payoff)))
-    if not np.isfinite((2.0 + kernel.mu) * scale):
-        raise ValueError(f"n * (p_es + m_ss) = {scale!r} is too large: (2 + mu) * max|payoff|, "
-                         "which bounds the field and its Jacobian on the simplex, is not finite")
-    if scale < np.finfo(float).tiny:
-        raise ValueError(f"n * (p_es + m_ss) = {scale!r} is below the smallest normal float, "
-                         "so the unit game payoff / (n * (p_es + m_ss)) is undefined")
+    check_payoff_scale(params.p_es, params.m_ss, params.n, kernel.mu)
+    payoff = build_payoff(params)
     payoff.flags.writeable = False
     return Flow(payoff, kernel)
 
@@ -233,22 +223,6 @@ class Trajectory:
     @property
     def final(self) -> PopulationState:
         return self.state(-1)
-
-
-def horizon_steps(dt: float, t_end: float) -> int:
-    """Number of ``dt`` steps up to ``t_end``, which must be finite and a
-    whole number (within 1e-9) of at least one step."""
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not np.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end < dt:
-        raise ValueError(f"t_end must be at least one step, got t_end={t_end}, dt={dt}")
-    steps = t_end / dt
-    # The quotient overflows to inf for huge t_end / dt; round(inf) would raise.
-    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-        raise ValueError(f"t_end must be a whole number of dt steps, got t_end={t_end}, dt={dt}")
-    return round(steps)
 
 
 def _scalar_field(payoff: np.ndarray, q: np.ndarray | None):

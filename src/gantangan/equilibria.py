@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import CONVERGENCE_RESIDUAL, Flow, Trajectory, flow, integrate
 from .game import GantanganParams, PopulationState
+from .rules import check_range, check_seed_count
 
 __all__ = [
     "Stability",
@@ -412,16 +413,6 @@ def sweep(
     return cells
 
 
-def check_range(name: str, grid: tuple[float, float, int]) -> None:
-    """Reject a sweep range (lo, hi, steps) unless 0 < lo < hi, both finite,
-    and steps >= 2."""
-    lo, hi, steps = grid
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not 0.0 < lo < hi:
-        raise ValueError(f"{name} must satisfy 0 < lo < hi, got lo={lo}, hi={hi}")
-    if int(steps) < 2:
-        raise ValueError(f"{name} needs at least 2 steps, got {int(steps)}")
-
-
 def ternary_project(state: PopulationState) -> TernaryPoint:
     """Triangle coordinates with alpha at (0, 0), beta at (1, 0), and gamma
     at the apex (0.5, sqrt(3)/2)."""
@@ -434,12 +425,6 @@ def ternary_coordinates(states: np.ndarray) -> np.ndarray:
     return np.column_stack(
         [states[:, 1] + 0.5 * states[:, 2], _SQRT3_2 * states[:, 2]]
     )
-
-
-def check_seed_count(count: int) -> None:
-    """Reject a lattice seed count below 1."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
 
 
 def interior_lattice(count: int, margin: float = 0.05) -> list[PopulationState]:

@@ -18,6 +18,8 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
+from .rules import SUM_NORMALIZE_TOL, frequency_sum, positive_params
+
 __all__ = [
     "Strategy",
     "GantanganParams",
@@ -33,10 +35,6 @@ __all__ = [
     "SUM_NORMALIZE_TOL",
     "DEFAULT_DOMINANCE_TOL",
 ]
-
-# Frequency vectors whose sum is off by more than this are user error, not
-# integrator drift, and are rejected instead of renormalized.
-SUM_NORMALIZE_TOL = 1e-6
 
 # Payoff entries are exact products of user parameters, so ties (e.g. equal
 # economic and social gains) must be detected as ties, not near-misses.
@@ -64,10 +62,8 @@ class GantanganParams:
     n: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("p_es", "m_ss", "n"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        values = positive_params(self.p_es, self.m_ss, self.n)
+        for name, value in zip(("p_es", "m_ss", "n"), values):
             object.__setattr__(self, name, value)
 
 
@@ -86,16 +82,7 @@ class PopulationState:
         x = np.array(self.x, dtype=float)
         if x.shape != (3,):
             raise ValueError(f"state needs exactly 3 frequencies, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"frequencies must be finite, got {x.tolist()}")
-        if np.any(x < 0.0):
-            raise ValueError(f"frequencies must be nonnegative, got {x.tolist()}")
-        total = float(x.sum())
-        if abs(total - 1.0) > SUM_NORMALIZE_TOL:
-            raise ValueError(
-                f"frequencies must sum to 1 within {SUM_NORMALIZE_TOL:g}, got sum {total!r}"
-            )
-        x /= total
+        x /= frequency_sum(x.tolist())
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gantangan import (
@@ -39,8 +40,12 @@ from gantangan.cli import (
     main,
     parse_args,
 )
-from gantangan.dynamics import Trajectory
+from gantangan.dynamics import Trajectory, flow, uniform_kernel
 from gantangan.equilibria import FixedPointReport, SweepCell
+from gantangan.game import build_payoff
+from gantangan.rules import (
+    check_mu, check_payoff_scale, check_range, frequency_sum, horizon_steps, positive_params,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -746,10 +751,180 @@ def test_malformed_config_value_is_domain_error(tmp_path, capsys, argv, values):
     assert f"config key {next(iter(values))!r}" in capsys.readouterr().err
 
 
+# A config file's value is held to the rule its flag's text is: float(True)
+# and int(2.7) would read these as 1.0, 0.0, 2 and 2.
+@pytest.mark.parametrize(
+    "argv, values, shown",
+    [
+        (["portrait", "--p-es", "2", "--m-ss", "1"], {"seeds": 2.7}, "2.7 (not a whole number)"),
+        (["portrait", "--p-es", "2", "--m-ss", "1"], {"seeds": True},
+         "True (a boolean is not a number)"),
+        (["simulate", "--m-ss", "1"], {"p_es": True}, "True (a boolean is not a number)"),
+        (["simulate", "--p-es", "2", "--m-ss", "1"], {"mu": False},
+         "False (a boolean is not a number)"),
+        (["sweep"], {"p_grid": [0.5, 1, 2.9], "m_grid": [0.5, 1, 2]},
+         "[0.5, 1, 2.9] (not a whole number)"),
+        (["simulate", "--p-es", "2", "--m-ss", "1"], {"x0": [True, 0, 0]},
+         "[True, 0, 0] (a boolean is not a number)"),
+    ],
+    ids=["seeds-fraction", "seeds-boolean", "p_es-boolean", "mu-boolean", "grid-steps-fraction",
+         "x0-boolean"],
+)
+def test_config_value_of_the_wrong_type_is_domain_error(tmp_path, capsys, argv, values, shown):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    assert main(argv + ["--config", str(config), "--dump-config"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    key = next(iter(values))
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key!r}: malformed value {shown}\n"
+
+
+def test_config_numbers_dump_as_before(tmp_path, capsys):
+    # Integral floats still count (seeds 4.0 is 4) and ints still read as floats.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"p_grid": [1, 2, 3.0], "m_grid": [0.5, 1.5, 2], "mu": 0,
+                                  "x0": [1, 0, 0], "n": 2}), encoding="utf-8")
+    assert main(["sweep", "--config", str(config), "--dump-config"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 2.0, "mu": 0.0, "x0": [1.0, 0.0, 0.0], "p_grid": [1.0, 2.0, 3],
+        "m_grid": [0.5, 1.5, 2], "out": "-", "format": "csv"}
+    config.write_text(json.dumps({"p_es": 2, "m_ss": 1, "seeds": 4.0}), encoding="utf-8")
+    assert main(["portrait", "--config", str(config), "--dump-config"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        '{\n  "p_es": 2.0,\n  "m_ss": 1.0,\n  "n": 1.0,\n  "mu": 0.0,\n  "dt": 0.01,\n'
+        '  "t_end": 500.0,\n  "seeds": 4,\n  "out": "-",\n  "format": "csv"\n}\n')
+
+
 def test_horizon_off_the_step_grid_is_domain_error(capsys):
     argv = ["simulate", "--p-es", "2", "--m-ss", "1", "--t-end", "0.015", "--dt", "0.01"]
     assert main(argv) == EXIT_DOMAIN
     assert "--dt/--t-end" in capsys.readouterr().err
+
+
+# ---------------------------------------------------- numpy off the start-up path
+
+_NUMPY_FREE_ARGVS = [
+    *([command, *args, "--dump-config"] for command, args in _REQUIRED_ARGS.items()),
+    ["--help"],
+    *([command, "--help"] for command in _REQUIRED_ARGS),
+    ["simulate", "--p-es", "2", "--m-ss", "1", "--bogus", "3"],
+    ["simulate", "--p-es", "0", "--m-ss", "1"],
+]
+
+
+def test_start_up_and_rejected_argvs_load_no_numpy():
+    # A fresh interpreter, since this one has numpy loaded already.
+    script = """if True:
+        import contextlib, io, json, sys
+        import gantangan
+        assert "numpy" not in sys.modules, "import gantangan"
+        from gantangan.cli import main
+        codes = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main(argv))
+            assert "numpy" not in sys.modules, argv
+        main(["equilibria", "--p-es", "2", "--m-ss", "1", "--out", sys.argv[2]])
+        print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+    """
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = _NUMPY_FREE_ARGVS + [["simulate", "--config", os.path.join(tmp, "missing.json")]]
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs), os.path.join(tmp, "out.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [EXIT_OK] * 9 + [EXIT_USAGE, EXIT_DOMAIN, EXIT_IO]
+    assert result["numpy"]  # a command that computes loads it
+
+
+def _verdict(rule, *args) -> str | None:
+    try:
+        rule(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _numpy_scale(params: GantanganParams) -> float:
+    """max|payoff| as the payoff matrix rounds it."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(build_payoff(params))))
+
+
+# Floats in [0, 1) with all their bits used, whose sums round as they fall.
+_UNIT = st.integers(0, 2 ** 32).map(lambda k: random.Random(k).random())
+_ANY_REAL = st.floats() | _UNIT.map(lambda u: 10.0 ** (616 * u - 308)) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1e154, 1e307, 5e307, 1e308])
+_RULE_MU = st.floats() | _UNIT | st.sampled_from([0.0, -0.0, 1e-300, 1.0 - 2.0 ** -53, 1.0])
+# Frequencies off the simplex, and on it but for a sum near the 1e-6 bound.
+_RULE_X0 = st.lists(st.floats() | st.floats(-0.1, 1.1) | st.just(-0.0), min_size=3,
+                    max_size=3) | st.tuples(_UNIT, _UNIT, st.floats(-2e-6, 2e-6)).filter(
+    lambda t: t[0] + t[1] <= 1.0).map(lambda t: [t[0], t[1], 1.0 - t[0] - t[1] + t[2]])
+_RULE_GRID = st.tuples(_ANY_REAL, _ANY_REAL, st.integers(-1, 4))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(p=_ANY_REAL, m=_ANY_REAL, n=_ANY_REAL, mu=_RULE_MU, x0=_RULE_X0,
+       dt=_ANY_REAL, t_end=_ANY_REAL, p_grid=_RULE_GRID, m_grid=_RULE_GRID)
+# p + m overflows where n p + n m would not; numpy sums 0.1, 0.2, 0.7 to 1.0
+# from the left and to 0.9999999999999999 from the right; -0.0 sums to 0.0.
+@example(p=1e308, m=1e308, n=0.5, mu=0.0, x0=[0.1, 0.2, 0.7], dt=0.01, t_end=1.0,
+         p_grid=(1e308, 1.5e308, 2), m_grid=(1e308, 1.5e308, 2))
+@example(p=2.0, m=1.0, n=1.0, mu=0.0, x0=[-0.0, -0.0, -0.0], dt=0.01, t_end=1.0,
+         p_grid=(0.5, 1.0, 2), m_grid=(0.5, 1.0, 2))
+def test_validation_rules_are_the_library_rules(p, m, n, mu, x0, dt, t_end, p_grid, m_grid):
+    """validate() rejects exactly what the library's constructors reject, with
+    their messages, in the order it checks them, on float rules without numpy."""
+    assert _verdict(positive_params, p, m, n) == _verdict(GantanganParams, p, m, n)
+    assert _verdict(check_mu, mu) == _verdict(uniform_kernel, mu)
+    assert _verdict(frequency_sum, x0) == _verdict(PopulationState, np.array(x0))
+    x = np.array(x0)
+    if np.all(np.isfinite(x)) and np.all(x >= 0.0):  # the sum is numpy's
+        total, message = float(x.sum()), _verdict(frequency_sum, x0)
+        assert (message is None) == (abs(total - 1.0) <= 1e-6)
+        assert message is None or message.endswith(f"got sum {total!r}")
+        assert message is not None or np.array_equal(PopulationState(x).x, x / x.sum())
+    if _verdict(positive_params, p, m, n) is None and _verdict(check_mu, mu) is None:
+        params = GantanganParams(p, m, n)
+        message = _verdict(flow, params, mu)
+        assert _verdict(check_payoff_scale, p, m, n, mu) == message
+        scale = _numpy_scale(params)
+        assert (message is None) == (np.isfinite((2.0 + mu) * scale)
+                                     and scale >= np.finfo(float).tiny)
+        assert message is None or f"= {scale!r} is" in message
+
+    def library(cfg: RunConfig) -> str | None:
+        """The first rejection of the library's own constructors and checks."""
+        if cfg.command == "sweep":
+            checks = [("--grid", check_range, "p_range", cfg.p_grid),
+                      ("--grid", check_range, "m_range", cfg.m_grid),
+                      ("--grid/--n", GantanganParams, cfg.p_grid[0], cfg.m_grid[0], cfg.n),
+                      ("--mu", uniform_kernel, cfg.mu)]
+            checks += [("--grid", lambda k: flow(GantanganParams(cfg.p_grid[k], cfg.m_grid[k]),
+                                                  cfg.mu), k) for k in (0, 1)]
+        else:
+            checks = [("--p-es/--m-ss/--n", GantanganParams, cfg.p_es, cfg.m_ss, cfg.n),
+                      ("--mu", uniform_kernel, cfg.mu),
+                      ("--p-es/--m-ss/--n",
+                       lambda: flow(GantanganParams(cfg.p_es, cfg.m_ss, cfg.n), cfg.mu))]
+        checks += [("--dt/--t-end", horizon_steps, cfg.dt, cfg.t_end),
+                   ("--x0", PopulationState, np.array(cfg.x0))]
+        for flags, rule, *args in checks:
+            message = _verdict(rule, *args)
+            if message is not None:
+                return f"{flags}: {message}"
+        return None
+
+    simulate = RunConfig("simulate", p_es=p, m_ss=m, n=n, mu=mu, dt=dt, t_end=t_end,
+                         x0=tuple(x0))
+    sweep_cfg = RunConfig("sweep", n=n, mu=mu, x0=tuple(x0), p_grid=p_grid, m_grid=m_grid)
+    for cfg in (simulate, sweep_cfg):
+        assert _verdict(cfg.validate) == library(cfg), cfg
 
 
 # Numbers stay at or below 10,000, so do any grid steps or seed count.
