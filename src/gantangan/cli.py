@@ -9,8 +9,8 @@ invocations produce byte-identical files; :mod:`gantangan.output` writes them.
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
 
 Parsing and validation use the library's rules on floats (:mod:`gantangan.rules`)
-and load no numpy; a command imports the modules that compute, and with them
-numpy, when it runs.
+and load neither numpy nor dataclasses; a command imports the modules that
+compute, and with them both, when it runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import Field, dataclass, field, fields
+from collections import namedtuple
 
 from .rules import (
     check_mu, check_payoff_scale, check_range, check_seed_count, frequency_sum, horizon_steps,
@@ -93,42 +93,62 @@ def _text(value) -> str:
     return value
 
 
-def _option(default, convert, *, sep: str | None = None, key: str | None = None,
-            flag: str | None = None, **argparse_kwargs):
+_Field = namedtuple("_Field", "name default convert sep key flag argparse_kwargs")
+
+
+def _field(name: str, default, convert, *, sep: str | None = None, key: str | None = None,
+           flag: str | None = None, **argparse_kwargs) -> _Field:
     """A config field: ``convert`` turns a config-file value, or the flag's
     text split at ``sep``, into the field's value. ``key`` and ``flag`` name it
     in files and on the command line where its name does not; ``argparse_kwargs``
     describe the flag, and a field without ``help`` adds none of its own."""
-    metadata = {"convert": convert, "sep": sep, "key": key, "flag": flag}
-    return field(default=default, metadata={**metadata, "argparse": argparse_kwargs})
+    key = key or name
+    flag = flag or "--" + key.replace("_", "-")
+    return _Field(name, default, convert, sep, key, flag, argparse_kwargs)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+# The one table of the RunConfig fields after ``command``, in the order
+# --dump-config prints them; those whose default is None are required.
+_FIELDS = {f.name: f for f in (
+    _field("p_es", None, _real, help="economic return, > 0"),
+    _field("m_ss", None, _real, help="social gain, > 0"),
+    _field("n", 1.0, _real, help="payoff scale factor (default 1)"),
+    _field("mu", 0.0, _real, help="mutation rate in [0, 1) (default 0)"),
+    _field("dt", 0.01, _real, help="integration step (default 0.01)"),
+    _field("t_end", 500.0, _real,
+           help="integration horizon, a whole number of steps (default 500)"),
+    _field("x0", (1.0 / 3.0,) * 3, _reals, sep=",",
+           help="initial frequencies a,b,c (default uniform)"),
+    _field("p_grid", None, _range, sep=":", flag="--grid", action="append",
+           metavar="LO:HI:STEPS", help="given twice: p grid, then m grid"),
+    _field("m_grid", None, _range, sep=":", flag="--grid"),
+    _field("seeds", 9, _whole, help="number of lattice seeds (default 9)"),
+    _field("out", "-", _text, help="output path, or - for stdout (default -)"),
+    _field("fmt", "csv", _text, key="format", choices=("csv", "json"),
+           help="output format (default csv)"),
+)}
+
+# The fields each command reads, in the order of the command's flags. They
+# are its flags, its config-file keys and the keys --dump-config prints.
+_INPUTS = {
+    "simulate": ("p_es", "m_ss", "n", "mu", "dt", "t_end", "out", "fmt", "x0"),
+    "equilibria": ("p_es", "m_ss", "n", "mu", "out", "fmt"),
+    "sweep": ("n", "mu", "out", "fmt", "p_grid", "m_grid", "x0"),
+    "portrait": ("p_es", "m_ss", "n", "mu", "dt", "t_end", "out", "fmt", "seeds"),
+}
+
+
+class RunConfig(namedtuple("RunConfig", ["command", *_FIELDS],
+                           defaults=[f.default for f in _FIELDS.values()])):
     """Inputs for one CLI run; the fields its command does not read keep their defaults."""
 
-    command: str
-    p_es: float | None = _option(None, _real, help="economic return, > 0")
-    m_ss: float | None = _option(None, _real, help="social gain, > 0")
-    n: float = _option(1.0, _real, help="payoff scale factor (default 1)")
-    mu: float = _option(0.0, _real, help="mutation rate in [0, 1) (default 0)")
-    dt: float = _option(0.01, _real, help="integration step (default 0.01)")
-    t_end: float = _option(500.0, _real,
-                           help="integration horizon, a whole number of steps (default 500)")
-    x0: tuple[float, float, float] = _option(
-        (1.0 / 3.0,) * 3, _reals, sep=",", help="initial frequencies a,b,c (default uniform)")
-    p_grid: tuple[float, float, int] | None = _option(
-        None, _range, sep=":", flag="--grid", action="append", metavar="LO:HI:STEPS",
-        help="given twice: p grid, then m grid")
-    m_grid: tuple[float, float, int] | None = _option(None, _range, sep=":", flag="--grid")
-    seeds: int = _option(9, _whole, help="number of lattice seeds (default 9)")
-    out: str = _option("-", _text, help="output path, or - for stdout (default -)")
-    fmt: str = _option("csv", _text, key="format", choices=("csv", "json"),
-                       help="output format (default csv)")
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.command not in _INPUTS:
             raise ValueError(f"unknown command {self.command!r}; expected one of {list(_INPUTS)}")
+        return self
 
     def validate(self) -> None:
         """Run the library's own rules on every input, each message led by
@@ -158,35 +178,14 @@ class RunConfig:
         """The inputs the command reads, as --dump-config prints them, under
         the config-file keys."""
         names = _INPUTS[self.command]
-        return {_key(f): getattr(self, f.name) for f in fields(self) if f.name in names}
-
-
-# The one record of the RunConfig fields each command reads, in the order of
-# the command's flags. They are its flags, its config-file keys and the keys
-# --dump-config prints; those whose default is None are required.
-_INPUTS = {
-    "simulate": ("p_es", "m_ss", "n", "mu", "dt", "t_end", "out", "fmt", "x0"),
-    "equilibria": ("p_es", "m_ss", "n", "mu", "out", "fmt"),
-    "sweep": ("n", "mu", "out", "fmt", "p_grid", "m_grid", "x0"),
-    "portrait": ("p_es", "m_ss", "n", "mu", "dt", "t_end", "out", "fmt", "seeds"),
-}
-
-_FIELDS = {f.name: f for f in fields(RunConfig)}
-
-
-def _key(f: Field) -> str:
-    return f.metadata.get("key") or f.name
-
-
-def _flag(f: Field) -> str:
-    return f.metadata.get("flag") or "--" + _key(f).replace("_", "-")
+        return {f.key: getattr(self, f.name) for f in _FIELDS.values() if f.name in names}
 
 
 def _require(cfg: RunConfig) -> None:
     """Raise a ValueError naming the first required input that ``cfg`` lacks."""
     for name in _INPUTS[cfg.command]:
         if _FIELDS[name].default is None and getattr(cfg, name) is None:
-            raise ValueError(f"{_flag(_FIELDS[name])} is required for {cfg.command}")
+            raise ValueError(f"{_FIELDS[name].flag} is required for {cfg.command}")
 
 
 def _check(flags: str, rule, *args) -> None:
@@ -196,15 +195,14 @@ def _check(flags: str, rule, *args) -> None:
         raise ValueError(f"{flags}: {exc}") from None
 
 
-def _flag_type(name: str):
+def _flag_type(f: _Field):
     """argparse ``type=`` for a field: its converter, applied to the flag's
     text split at the field's separator."""
-    convert, sep = _FIELDS[name].metadata["convert"], _FIELDS[name].metadata["sep"]
 
     def parse(text: str):
-        return convert(text if sep is None else text.split(sep))
+        return f.convert(text if f.sep is None else text.split(f.sep))
 
-    parse.__name__ = name  # argparse names the type in its error message
+    parse.__name__ = f.name  # argparse names the type in its error message
     return parse
 
 
@@ -221,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=helps[command])
         for name in names:
             f = _FIELDS[name]
-            if "help" in f.metadata["argparse"]:
-                p.add_argument(_flag(f), dest=name, type=_flag_type(name), **f.metadata["argparse"])
+            if "help" in f.argparse_kwargs:
+                p.add_argument(f.flag, dest=name, type=_flag_type(f), **f.argparse_kwargs)
             if name == "fmt":  # every command lists these two right after --format
                 p.add_argument("--config", help="JSON config file; explicit flags win")
                 p.add_argument("--dump-config", action="store_true",
@@ -235,17 +233,17 @@ def _load_config_file(path: str, command: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
-    unread = set(data) - {_key(_FIELDS[name]) for name in _INPUTS[command]}
+    unread = set(data) - {_FIELDS[name].key for name in _INPUTS[command]}
     if unread:
         raise ValueError(f"config keys that {command} does not read: {sorted(unread)}")
     return data
 
 
-def _from_file(f: Field, value):
+def _from_file(f: _Field, value):
     try:
-        return f.metadata["convert"](value)
+        return f.convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config key {_key(f)!r}: malformed value {value!r} ({exc})") from None
+        raise ValueError(f"config key {f.key!r}: malformed value {value!r} ({exc})") from None
 
 
 def _resolve(argv: list[str]) -> tuple[RunConfig, bool]:
@@ -265,8 +263,8 @@ def _resolve(argv: list[str]) -> tuple[RunConfig, bool]:
         f = _FIELDS[name]
         if flags.get(name) is not None:
             values[name] = flags[name]
-        elif file_vals.get(_key(f)) is not None:
-            values[name] = _from_file(f, file_vals[_key(f)])
+        elif file_vals.get(f.key) is not None:
+            values[name] = _from_file(f, file_vals[f.key])
     cfg = RunConfig(ns.command, **values)
     try:
         _require(cfg)

@@ -302,7 +302,11 @@ def integrate(
                               stop)
     out.release()
     states = states if last == n_steps else states[: last + 1].copy()
-    return Trajectory._adopt(dt * np.arange(last + 1), states, params, float(mu), float(dt))
+    # Scaled in place: dt * np.arange(last + 1) would first build an int64
+    # array as large as the result.
+    times = np.arange(last + 1, dtype=float)
+    times *= dt
+    return Trajectory._adopt(times, states, params, float(mu), float(dt))
 
 
 # The two loops below are one RK4 scheme: stages, simplex check, projection,

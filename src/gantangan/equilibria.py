@@ -445,7 +445,7 @@ def interior_lattice(count: int, margin: float = 0.05) -> list[PopulationState]:
         ]
         inside = [p for p in points if min(p) >= margin - 1e-12]
         if len(inside) >= count:
-            return [PopulationState(np.array(p)) for p in inside[:count]]
+            return [PopulationState(np.array(p)) for p in inside[:int(count)]]
     raise AssertionError("unreachable")
 
 

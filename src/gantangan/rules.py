@@ -106,17 +106,25 @@ def horizon_steps(dt: float, t_end: float) -> int:
     return round(steps)
 
 
+def _is_whole(value) -> bool:
+    return isinstance(value, int) or float(value).is_integer()
+
+
 def check_range(name: str, grid: tuple[float, float, int]) -> None:
     """Reject a sweep range (lo, hi, steps) unless 0 < lo < hi, both finite,
-    and steps >= 2."""
+    and steps is a whole number >= 2."""
     lo, hi, steps = grid
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise ValueError(f"{name} must satisfy 0 < lo < hi, got lo={lo}, hi={hi}")
+    if not _is_whole(steps):
+        raise ValueError(f"{name} needs a whole number of steps, got {steps!r}")
     if int(steps) < 2:
         raise ValueError(f"{name} needs at least 2 steps, got {int(steps)}")
 
 
 def check_seed_count(count: int) -> None:
-    """Reject a lattice seed count below 1."""
+    """Reject a lattice seed count that is not a whole number >= 1."""
+    if not _is_whole(count):
+        raise ValueError(f"count must be a whole number, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")

@@ -216,6 +216,15 @@ def test_unknown_command_is_domain_error(method):
         getattr(RunConfig("bogus"), method)()
 
 
+def test_run_config_is_an_immutable_value():
+    cfg = RunConfig(command="portrait", p_es=2.0, m_ss=1.0, seeds=4)
+    with pytest.raises(AttributeError):
+        cfg.seeds = 5
+    assert cfg.seeds == 4
+    same = RunConfig(command="portrait", p_es=2.0, m_ss=1.0, seeds=4)
+    assert same == cfg and hash(same) == hash(cfg)
+
+
 # --------------------------------------------------------------- emitters
 
 
@@ -813,8 +822,8 @@ _NUMPY_FREE_ARGVS = [
 ]
 
 
-def test_start_up_and_rejected_argvs_load_no_numpy():
-    # A fresh interpreter, since this one has numpy loaded already.
+def test_start_up_and_rejected_argvs_load_no_numpy_or_dataclasses():
+    # A fresh interpreter, since this one has numpy and dataclasses loaded already.
     script = """if True:
         import contextlib, io, json, sys
         import gantangan
@@ -824,7 +833,8 @@ def test_start_up_and_rejected_argvs_load_no_numpy():
         for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(main(argv))
-            assert "numpy" not in sys.modules, argv
+            loaded = {"numpy", "dataclasses", "inspect", "ast", "dis"} & set(sys.modules)
+            assert not loaded, (argv, sorted(loaded))
         main(["equilibria", "--p-es", "2", "--m-ss", "1", "--out", sys.argv[2]])
         print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
     """

@@ -490,6 +490,23 @@ def test_sweep_rejects_bad_ranges(p_range, m_range):
         sweep(p_range, m_range)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: sweep((1.0, 2.0, 2.9), (1.0, 2.0, 2)), "p_range needs a whole number of steps"),
+     (lambda: portrait(GantanganParams(2, 1), 0.0, 2.7, 0.01, 0.05),
+      "count must be a whole number")],
+    ids=["sweep", "portrait"],
+)
+def test_fractional_counts_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_whole_float_counts_are_counts():
+    assert len(sweep((1.0, 2.0, 2.0), (1.0, 2.0, 2))) == 4
+    assert len(portrait(GantanganParams(2, 1), 0.0, 2.0, 0.01, 0.05)) == 2
+
+
 # ---------------------------------------------------------------- ternary
 
 
