@@ -174,9 +174,13 @@ def derivative(state: PopulationState, payoff: np.ndarray,
 class Trajectory:
     """States of the flow on a uniform time grid.
 
-    ``times`` has shape (k,), strictly increasing with spacing ``dt``;
-    ``states`` has shape (k, 3) with one simplex point per row. Both arrays
-    are read-only; values are safe to share between threads.
+    ``times`` has shape (k,), finite and strictly increasing with spacing
+    ``dt``; ``states`` has shape (k, 3) with one simplex point per row. Both
+    arrays are read-only; values are safe to share between threads.
+    ``steps`` counts the steps of the run and ``len()`` is ``steps + 1``, its
+    number of states. An endpoint trajectory (``integrate(...,
+    keep_states=False)``) holds only the last time and state, so k = 1, while
+    ``steps`` and ``len()`` still count the whole run.
     """
 
     times: np.ndarray
@@ -184,6 +188,7 @@ class Trajectory:
     params: GantanganParams
     mu: float
     dt: float
+    steps: int = field(init=False)
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float)
@@ -194,28 +199,30 @@ class Trajectory:
             )
         if times.size == 0:
             raise ValueError("trajectory must contain at least one state")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
+        # Written as the accepting test, so that a NaN time fails it.
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)):
+            raise ValueError("times must be finite and strictly increasing")
         times.flags.writeable = False
         states.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "steps", times.size - 1)
 
     @classmethod
     def _adopt(cls, times: np.ndarray, states: np.ndarray, params: GantanganParams,
-               mu: float, dt: float) -> Trajectory:
+               mu: float, dt: float, steps: int) -> Trajectory:
         """The trajectory holding ``times`` and ``states`` themselves, made
-        read-only. Only for arrays that :func:`integrate` built on its grid
-        and that nothing else refers to: they skip the copies and checks of
-        the constructor."""
+        read-only, of a run of ``steps`` steps. Only for arrays that
+        :func:`integrate` built on its grid and that nothing else refers to:
+        they skip the copies and checks of the constructor."""
         times.flags.writeable = False
         states.flags.writeable = False
         traj = object.__new__(cls)
-        vars(traj).update(times=times, states=states, params=params, mu=mu, dt=dt)
+        vars(traj).update(times=times, states=states, params=params, mu=mu, dt=dt, steps=steps)
         return traj
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return self.steps + 1
 
     def state(self, k: int) -> PopulationState:
         return PopulationState(self.states[k])
@@ -267,6 +274,7 @@ def integrate(
     t_end: float = 500.0,
     *,
     converge_tol: float | None = None,
+    keep_states: bool = True,
 ) -> Trajectory:
     """Fixed-step classical RK4 flow of the dynamics starting at ``x0``.
 
@@ -285,28 +293,36 @@ def integrate(
     products. The trajectory of a run to ``t_end`` holds the array the loop
     filled, uncopied; a run that stops early holds a copy of its rows, so
     that it does not keep the horizon's buffer alive.
+
+    With ``keep_states=False`` the loop writes every state into the same
+    three floats, and the trajectory holds only the last state and its time,
+    the same as the full run's, bit for bit; its ``len()`` still counts every
+    state of the run. Memory then stays constant at any horizon.
     """
     n_steps = horizon_steps(dt, t_end)
     game = flow(params, mu)
     # No velocity is below -1, so without converge_tol the run never stops early.
     stop = -1.0 if converge_tol is None else converge_tol
-    states = np.empty((n_steps + 1, 3))
-    # Rows go straight into the array: a list of 200,001 tuples would cost
-    # tens of megabytes on a capped sweep cell.
+    # State k goes to out[stride * k:]; with stride 0 each state overwrites the last.
+    stride = 3 if keep_states else 0
+    states = np.empty((n_steps + 1 if keep_states else 1, 3))
     out = memoryview(states.reshape(-1))
     payoff = game.payoff.tolist()
     if game.kernel.mu == 0.0:
-        last = _replicator_steps(out, x0.x.tolist(), payoff, dt, n_steps, stop)
+        last = _replicator_steps(out, x0.x.tolist(), payoff, dt, n_steps, stop, stride)
     else:
         last = _mutator_steps(out, x0.x.tolist(), payoff, game.kernel.q.tolist(), dt, n_steps,
-                              stop)
+                              stop, stride)
     out.release()
-    states = states if last == n_steps else states[: last + 1].copy()
-    # Scaled in place: dt * np.arange(last + 1) would first build an int64
-    # array as large as the result.
-    times = np.arange(last + 1, dtype=float)
-    times *= dt
-    return Trajectory._adopt(times, states, params, float(mu), float(dt))
+    if not keep_states:
+        times = np.array([last * dt])
+    else:
+        states = states if last == n_steps else states[: last + 1].copy()
+        # Scaled in place: dt * np.arange(last + 1) would first build an int64
+        # array as large as the result.
+        times = np.arange(last + 1, dtype=float)
+        times *= dt
+    return Trajectory._adopt(times, states, params, float(mu), float(dt), last)
 
 
 # The two loops below are one RK4 scheme: stages, simplex check, projection,
@@ -319,10 +335,11 @@ def integrate(
 # stage.
 
 
-def _replicator_steps(out, x, payoff, dt, n_steps, stop) -> int:
-    """RK4 steps of the replicator form x_i (f_i - phi) from ``x``, each
-    state written into ``out`` (three floats a row, row 0 is ``x``).
-    Returns the index of the last row written."""
+def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
+    """RK4 steps of the replicator form x_i (f_i - phi) from ``x``, state k
+    written into the three floats of ``out`` from ``stride * k`` on (state 0
+    is ``x``): stride 3 keeps every state, 0 only the last. Returns the index
+    of the last state written."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
     tol = SIMPLEX_STEP_TOL
     low = -tol
@@ -370,7 +387,7 @@ def _replicator_steps(out, x, payoff, dt, n_steps, stop) -> int:
         a /= s
         b /= s
         c /= s
-        i = 3 * k
+        i = stride * k
         out[i], out[i + 1], out[i + 2] = a, b, c
         f0 = a00 * a + a01 * b + a02 * c
         f1 = a10 * a + a11 * b + a12 * c
@@ -383,7 +400,7 @@ def _replicator_steps(out, x, payoff, dt, n_steps, stop) -> int:
     return n_steps
 
 
-def _mutator_steps(out, x, payoff, q, dt, n_steps, stop) -> int:
+def _mutator_steps(out, x, payoff, q, dt, n_steps, stop, stride) -> int:
     """:func:`_replicator_steps` for the replicator-mutator form
     sum_j q[j, i] x_j f_j - x_i phi."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
@@ -437,7 +454,7 @@ def _mutator_steps(out, x, payoff, q, dt, n_steps, stop) -> int:
         a /= s
         b /= s
         c /= s
-        i = 3 * k
+        i = stride * k
         out[i], out[i + 1], out[i + 2] = a, b, c
         g0 = a * (a00 * a + a01 * b + a02 * c)
         g1 = b * (a10 * a + a11 * b + a12 * c)

@@ -390,7 +390,8 @@ def sweep(
     to evenly spaced values inclusive of both ends. Cells are traversed
     row-major with p_es outermost. Each cell integrates from ``x0`` (the
     uniform state by default) until the velocity drops below 1e-10 or the
-    time cap, then matches the endpoint against the vertices.
+    time cap, keeping only its endpoint, then matches the endpoint against
+    the vertices.
 
     The scale ``n`` multiplies the whole velocity field, so it only rescales
     time: each cell integrates and counts rest points on the n = 1 flow, with
@@ -407,7 +408,7 @@ def sweep(
         for m in m_values:
             params = GantanganParams(p, m)
             end = integrate(start, params, mu, SWEEP_DT, SWEEP_T_CAP,
-                            converge_tol=CONVERGENCE_RESIDUAL).final
+                            converge_tol=CONVERGENCE_RESIDUAL, keep_states=False).final
             count = len(find_fixed_points(params, mu))
             cells.append(SweepCell(float(p), float(m), _attractor_label(end.x), count, end))
     return cells

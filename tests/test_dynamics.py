@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -448,13 +449,58 @@ def test_integrate_is_rk4_over_the_flow_velocity(p, m, mu, weights, dt, n, dt_bi
     assert got.times.tobytes() == (dt * np.arange(len(want))).tobytes()
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(**{**_flows, "mu": st.one_of(st.just(0.0), st.floats(0.0, 0.9))},
+       dt_big=st.booleans(), steps=st.integers(1, 250),
+       tol=st.sampled_from([None, 1e-10, 1e-4, 1e-2]))
+# Runs that stop early (at 47 and 52 states of 251), at mu = 0 and mu > 0.
+@example(p=10.0, m=10.0, mu=0.0, weights=(1.0, 1.0, 1.0), dt=0.02, dt_big=False, steps=250,
+         tol=1e-2)
+@example(p=10.0, m=10.0, mu=0.05, weights=(1.0, 1.0, 1.0), dt=0.02, dt_big=False, steps=250,
+         tol=1e-2)
+def test_endpoint_run_is_the_full_runs_last_state(p, m, mu, weights, dt, dt_big, steps, tol):
+    # sweep keeps only each cell's endpoint; it must be the full run's, bit
+    # for bit, with the same count of states and the same error.
+    dt = 0.5 if dt_big else dt
+    args = (_start(weights), GantanganParams(p, m), mu, dt, steps * dt)
+    try:
+        full = integrate(*args, converge_tol=tol)
+    except StepSizeError as err:
+        with pytest.raises(StepSizeError, match=f"^{re.escape(str(err))}$"):
+            integrate(*args, converge_tol=tol, keep_states=False)
+        return
+    end = integrate(*args, converge_tol=tol, keep_states=False)
+    assert len(end) == len(full)
+    assert end.states.tobytes() == full.states[-1:].tobytes()
+    assert end.times.tobytes() == full.times[-1:].tobytes()
+
+
+def test_endpoint_run_memory_does_not_grow_with_the_horizon():
+    args = (PopulationState.uniform(), GantanganParams(2, 1, 1), 0.0, 0.01, 100.0)
+    integrate(*args, keep_states=False)  # builds and caches the flow
+    peaks = {}
+    for keep in (True, False):
+        tracemalloc.start()
+        try:
+            traj = integrate(*args, keep_states=keep)
+            peaks[keep] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 10_001
+    assert peaks[True] > 10_001 * 24
+    assert peaks[False] < 4_096
+
+
 def test_capped_sweep_cell_endpoint():
     # The beta-side sweep cell that runs to the time cap: x_alpha decays
     # through the subnormals and settles at 5e-322.
-    traj = integrate(PopulationState(np.array([0.0514, 0.9037, 0.0449])),
-                     GantanganParams(1.0012, 1.9881), 0.0, 0.01, 2000.0, converge_tol=1e-10)
-    assert len(traj) == 200_001
-    assert traj.final.x.tolist() == [5e-322, 0.9997495875771084, 0.00025041242289161283]
+    for keep_states in (True, False):
+        traj = integrate(PopulationState(np.array([0.0514, 0.9037, 0.0449])),
+                         GantanganParams(1.0012, 1.9881), 0.0, 0.01, 2000.0, converge_tol=1e-10,
+                         keep_states=keep_states)
+        assert len(traj) == 200_001
+        assert traj.times[-1] == 2000.0
+        assert traj.final.x.tolist() == [5e-322, 0.9997495875771084, 0.00025041242289161283]
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.05])
@@ -510,6 +556,9 @@ def test_trajectory_rejects_malformed_grids():
         Trajectory(np.array([0.0, 0.1]), good, params, 0.0, 0.1)
     with pytest.raises(ValueError):
         Trajectory(np.array([]), good[:0], params, 0.0, 0.1)
+    for times in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(np.array(times), good[: len(times)], params, 0.0, 0.1)
 
 
 def test_derivative_rejects_bad_payoff():

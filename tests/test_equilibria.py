@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,39 +268,49 @@ def test_no_interior_point_has_equal_fitness(p, m):
 @pytest.fixture
 def calls(monkeypatch):
     """Count the calls made through the four names that perfbench/tracing.py
-    swaps in gantangan.equilibria to record its per-layer spans."""
-    counts: Counter[str] = Counter()
+    swaps in gantangan.equilibria to record its per-layer spans, and record
+    each integrate call's step count as tracing.py does, ``len(traj) - 1``."""
+    calls = SimpleNamespace(counts=Counter(), steps=[])
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+            calls.counts[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "integrate":
+                calls.steps.append(len(result) - 1)
+            return result
         return wrapper
 
     for name in ("integrate", "find_fixed_points", "classify_stability", "jacobian"):
         monkeypatch.setattr(equilibria_module, name,
                             counted(name, getattr(equilibria_module, name)))
-    return counts
+    return calls
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.01])
 def test_each_report_is_classified_through_the_traced_names(calls, mu):
     reports = equilibria_module.find_fixed_points(GantanganParams(1, 3), mu)
     assert len(reports) == 4
-    assert calls == {"find_fixed_points": 1, "classify_stability": 4, "jacobian": 4}
+    assert calls.counts == {"find_fixed_points": 1, "classify_stability": 4, "jacobian": 4}
 
 
 def test_sweep_integrates_and_lists_once_per_cell_through_the_traced_names(calls):
     cells = equilibria_module.sweep((1.0, 2.0, 2), (0.5, 1.5, 2), n=3.0)
     reports = sum(c.fixed_point_count for c in cells)
-    assert calls == {"integrate": 4, "find_fixed_points": 4, "classify_stability": reports,
-                     "jacobian": reports}
+    assert calls.counts == {"integrate": 4, "find_fixed_points": 4,
+                            "classify_stability": reports, "jacobian": reports}
+    # A cell keeps only its endpoint, yet its length still counts every step
+    # of the run: tracing.py sums them into dynamics.rk4_steps.
+    full = [integrate(PopulationState.uniform(), GantanganParams(c.p_es, c.m_ss), 0.0,
+                      equilibria_module.SWEEP_DT, equilibria_module.SWEEP_T_CAP,
+                      converge_tol=1e-10) for c in cells]
+    assert calls.steps == [len(traj) - 1 for traj in full]
 
 
 def test_portrait_integrates_once_per_seed_through_the_traced_names(calls):
     trajectories = equilibria_module.portrait(GantanganParams(2, 1), 0.01, seeds=3, t_end=1.0)
     assert len(trajectories) == 3
-    assert calls == {"integrate": 3}
+    assert calls.counts == {"integrate": 3}
 
 
 def test_mutation_search_is_deterministic():
