@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
 
 Parsing and validation use the library's rules on floats (:mod:`gantangan.rules`)
 and load neither numpy nor dataclasses; a command imports the modules that
-compute, and with them both, when it runs.
+compute, and with them dataclasses, when it runs. Those modules import numpy
+where they build arrays, which a sweep at mu = 0 never does.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 
-# The emitters live in gantangan.output, which imports numpy; they are
-# looked up here on first access (PEP 562).
+# The emitters live in gantangan.output, which imports the modules that
+# compute; they are looked up here on first access (PEP 562).
 _EMITTERS = ("emit_trajectory", "emit_equilibria", "emit_sweep", "emit_portrait")
 
 

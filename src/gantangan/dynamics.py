@@ -15,18 +15,28 @@ picked at run time. Its loop carries the field inline: a step costs about
 1.8 µs, against 2.3 µs when each stage calls :attr:`Flow.velocity` and 40 µs
 on numpy 3-vectors (CPython 3.11 on a 2-core Xeon), and about 1.8 times as
 much at a state with a subnormal share.
+
+The flow and the endpoint of a run live on Python floats too: :func:`flow`
+holds the game as rows of floats, and a run that keeps only its endpoint
+writes into three floats of an ``array('d')``. numpy is imported by the
+functions that build arrays (a kept run's states, ``Flow.payoff``,
+``Flow.kernel``, ``Flow.jacobian``, a trajectory's ``times`` and ``states``),
+when they first run, so a run that keeps only its endpoint does not load it.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .game import GantanganParams, PopulationState, as_payoff_matrix, payoff_rows
+from .rules import check_mu, check_payoff_scale, frequency_sum, horizon_steps
 
-from .game import GantanganParams, PopulationState, as_payoff_matrix, build_payoff
-from .rules import check_mu, check_payoff_scale, horizon_steps
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MutationKernel",
@@ -54,6 +64,10 @@ SIMPLEX_STEP_TOL = 1e-6
 # Velocity max-norm below which callers may treat a trajectory as converged.
 CONVERGENCE_RESIDUAL = 1e-10
 
+# The spacing of a trajectory's times may differ from its dt by this much,
+# relatively: the rounding of k * dt, for any k a run can reach, stays far below.
+SPACING_TOL = 1e-6
+
 # (params, mu) pairs whose Flow is kept: a find_fixed_points call or a sweep
 # cell uses one.
 FLOW_CACHE_SIZE = 16
@@ -76,6 +90,8 @@ class MutationKernel:
 
     def __post_init__(self) -> None:
         check_mu(self.mu)
+        import numpy as np
+
         q = np.array(self.q, dtype=float)
         if q.shape != (3, 3):
             raise ValueError(f"kernel must be 3x3, got shape {q.shape}")
@@ -89,12 +105,16 @@ class MutationKernel:
         object.__setattr__(self, "mu", float(self.mu))
 
 
+def _uniform_rows(mu: float) -> tuple[tuple[float, float, float], ...]:
+    """The rows of :func:`uniform_kernel`'s ``q`` as floats."""
+    keep, move = 1.0 - mu, mu / 2.0
+    return ((keep, move, move), (move, keep, move), (move, move, keep))
+
+
 def uniform_kernel(mu: float) -> MutationKernel:
     """Kernel keeping the parent strategy with probability 1 - mu and
     splitting mu evenly over the other two; mu = 0 gives the identity."""
-    q = np.full((3, 3), mu / 2.0)
-    np.fill_diagonal(q, 1.0 - mu)
-    return MutationKernel(q, float(mu))
+    return MutationKernel(_uniform_rows(mu), float(mu))
 
 
 def replicator_field(x: np.ndarray, payoff: np.ndarray) -> np.ndarray:
@@ -120,16 +140,30 @@ def replicator_mutator_field(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -
 
 @dataclass(frozen=True, eq=False)
 class Flow:
-    """The velocity field of one payoff matrix under one mutation kernel;
-    ``velocity`` evaluates it on Python floats (:func:`_scalar_field`)."""
+    """The velocity field of one payoff matrix, given as three rows of
+    floats, under the uniform kernel of ``mu``; ``velocity`` evaluates it on
+    Python floats (:func:`_scalar_field`). The read-only arrays ``payoff`` and
+    ``kernel`` are built on first access."""
 
-    payoff: np.ndarray
-    kernel: MutationKernel
+    rows: tuple[tuple[float, float, float], ...]
+    mu: float
     velocity: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = None if self.kernel.mu == 0.0 else self.kernel.q
-        object.__setattr__(self, "velocity", _scalar_field(self.payoff, q))
+        q = None if self.mu == 0.0 else _uniform_rows(self.mu)
+        object.__setattr__(self, "velocity", _scalar_field(self.rows, q))
+
+    @functools.cached_property
+    def payoff(self) -> np.ndarray:
+        import numpy as np
+
+        payoff = np.array(self.rows)
+        payoff.flags.writeable = False
+        return payoff
+
+    @functools.cached_property
+    def kernel(self) -> MutationKernel:
+        return uniform_kernel(self.mu)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Closed-form Jacobian of :attr:`velocity` at a raw frequency vector.
@@ -138,6 +172,8 @@ class Flow:
         DF = Q^T (diag(Ax) + diag(x) A) - phi I - x (Ax + A^T x)^T
         (Hofbauer & Sigmund 1998).
         """
+        import numpy as np
+
         a, q = self.payoff, self.kernel.q
         f = a @ x
         return q.T @ (np.diag(f) + x[:, None] * a) - (x @ f) * np.eye(3) - np.outer(x, f + a.T @ x)
@@ -146,17 +182,16 @@ class Flow:
 @functools.lru_cache(maxsize=FLOW_CACHE_SIZE)
 def flow(params: GantanganParams, mu: float) -> Flow:
     """The flow of the game ``params`` under the uniform kernel of ``mu``,
-    built and checked once per pair; its arrays are read-only.
+    built and checked once per pair.
 
-    A game whose payoff scale n (p_es + m_ss) bounds neither the field nor
-    its Jacobian in floats is rejected (:func:`check_payoff_scale`), before
-    its payoff matrix is built.
+    A mutation rate outside [0, 1) is rejected (:func:`check_mu`), and so is a
+    game whose payoff scale n (p_es + m_ss) bounds neither the field nor its
+    Jacobian in floats (:func:`check_payoff_scale`), before its payoff is built.
     """
-    kernel = uniform_kernel(mu)
-    check_payoff_scale(params.p_es, params.m_ss, params.n, kernel.mu)
-    payoff = build_payoff(params)
-    payoff.flags.writeable = False
-    return Flow(payoff, kernel)
+    check_mu(mu)
+    mu = float(mu)
+    check_payoff_scale(params.p_es, params.m_ss, params.n, mu)
+    return Flow(payoff_rows(params), mu)
 
 
 def derivative(state: PopulationState, payoff: np.ndarray,
@@ -170,7 +205,12 @@ def derivative(state: PopulationState, payoff: np.ndarray,
                                     (kernel or uniform_kernel(0.0)).q)
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
     """States of the flow on a uniform time grid.
 
@@ -179,47 +219,73 @@ class Trajectory:
     arrays are read-only; values are safe to share between threads.
     ``steps`` counts the steps of the run and ``len()`` is ``steps + 1``, its
     number of states. An endpoint trajectory (``integrate(...,
-    keep_states=False)``) holds only the last time and state, so k = 1, while
-    ``steps`` and ``len()`` still count the whole run.
+    keep_states=False)``) holds only the last state, as three floats, so
+    k = 1 and its arrays are built on first access, while ``steps`` and
+    ``len()`` still count the whole run. ``final`` reads the last state's
+    floats.
     """
 
-    times: np.ndarray
-    states: np.ndarray
     params: GantanganParams
     mu: float
     dt: float
-    steps: int = field(init=False)
+    steps: int
 
-    def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=float)
+    def __init__(self, times, states, params: GantanganParams, mu: float, dt: float) -> None:
+        """Check and copy ``times`` and ``states``: each row must pass
+        :func:`~gantangan.rules.frequency_sum` (finite, nonnegative, summing
+        to 1 within ``SUM_NORMALIZE_TOL``), and ``dt`` must be positive, and
+        the spacing of ``times`` within a relative 1e-6 of it."""
+        import numpy as np
+
+        times = np.array(times, dtype=float)
+        states = np.array(states, dtype=float)
         if times.ndim != 1 or states.shape != (times.size, 3):
             raise ValueError(
                 f"times/states shapes mismatch: {times.shape} vs {states.shape}"
             )
         if times.size == 0:
             raise ValueError("trajectory must contain at least one state")
-        # Written as the accepting test, so that a NaN time fails it.
+        # Written as accepting tests, so that a NaN time or dt fails them.
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)):
             raise ValueError("times must be finite and strictly increasing")
-        times.flags.writeable = False
-        states.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "steps", times.size - 1)
+        rows = states.tolist()
+        for row in rows:
+            frequency_sum(row)
+        if not (0.0 < dt < float("inf")
+                and np.all(np.abs(np.diff(times) - dt) <= SPACING_TOL * dt)):
+            raise ValueError(f"dt must be positive and the spacing of times, got dt={dt!r}")
+        self._fill(params, mu, dt, times.size - 1, tuple(rows[-1]),
+                   times=_read_only(times), states=_read_only(states))
 
     @classmethod
-    def _adopt(cls, times: np.ndarray, states: np.ndarray, params: GantanganParams,
-               mu: float, dt: float, steps: int) -> Trajectory:
-        """The trajectory holding ``times`` and ``states`` themselves, made
-        read-only, of a run of ``steps`` steps. Only for arrays that
-        :func:`integrate` built on its grid and that nothing else refers to:
-        they skip the copies and checks of the constructor."""
-        times.flags.writeable = False
-        states.flags.writeable = False
+    def _adopt(cls, params: GantanganParams, mu: float, dt: float, steps: int,
+               end: tuple[float, float, float], **arrays: np.ndarray) -> Trajectory:
+        """The trajectory of a run of ``steps`` steps that ended at ``end``,
+        holding ``times`` and ``states`` themselves, made read-only, if given.
+        Only for values that :func:`integrate` built on its grid and that
+        nothing else refers to: they skip the copies and checks of the
+        constructor."""
         traj = object.__new__(cls)
-        vars(traj).update(times=times, states=states, params=params, mu=mu, dt=dt, steps=steps)
+        traj._fill(params, mu, dt, steps, end,
+                   **{name: _read_only(a) for name, a in arrays.items()})
         return traj
+
+    def _fill(self, params, mu, dt, steps, end, **arrays) -> None:
+        vars(self).update(params=params, mu=mu, dt=dt, steps=steps, _end=end, **arrays)
+
+    # An instance that was given its arrays holds them in its __dict__, which
+    # these two never reach; they build an endpoint trajectory's arrays.
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        import numpy as np
+
+        return _read_only(np.array([self.steps * self.dt]))
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        import numpy as np
+
+        return _read_only(np.array([self._end]))
 
     def __len__(self) -> int:
         return self.steps + 1
@@ -229,11 +295,12 @@ class Trajectory:
 
     @property
     def final(self) -> PopulationState:
-        return self.state(-1)
+        return PopulationState(self._end)
 
 
-def _scalar_field(payoff: np.ndarray, q: np.ndarray | None):
-    """The velocity field on Python floats.
+def _scalar_field(payoff, q):
+    """The velocity field on Python floats, from the rows of ``payoff`` and
+    of ``q``.
 
     Returns ``velocity(x0, x1, x2) -> (v0, v1, v2)``. With ``q=None`` it is the
     replicator form x_i (f_i - phi), otherwise sum_j q[j, i] x_j f_j - x_i phi.
@@ -241,7 +308,7 @@ def _scalar_field(payoff: np.ndarray, q: np.ndarray | None):
     :func:`replicator_field` and :func:`replicator_mutator_field`. The RK4
     loops of :func:`integrate` carry the same operations inline.
     """
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff.tolist()
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
     if q is None:
         def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
             f0 = a00 * x0 + a01 * x1 + a02 * x2
@@ -251,7 +318,7 @@ def _scalar_field(payoff: np.ndarray, q: np.ndarray | None):
             return x0 * (f0 - phi), x1 * (f1 - phi), x2 * (f2 - phi)
         return velocity
 
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q.tolist()
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
 
     def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
         g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
@@ -304,25 +371,29 @@ def integrate(
     # No velocity is below -1, so without converge_tol the run never stops early.
     stop = -1.0 if converge_tol is None else converge_tol
     # State k goes to out[stride * k:]; with stride 0 each state overwrites the last.
-    stride = 3 if keep_states else 0
-    states = np.empty((n_steps + 1 if keep_states else 1, 3))
-    out = memoryview(states.reshape(-1))
-    payoff = game.payoff.tolist()
-    if game.kernel.mu == 0.0:
-        last = _replicator_steps(out, x0.x.tolist(), payoff, dt, n_steps, stop, stride)
+    if keep_states:
+        import numpy as np
+
+        stride, states = 3, np.empty((n_steps + 1, 3))
+        out = memoryview(states.reshape(-1))
     else:
-        last = _mutator_steps(out, x0.x.tolist(), payoff, game.kernel.q.tolist(), dt, n_steps,
+        stride, out = 0, array("d", x0.shares)
+    if game.mu == 0.0:
+        last = _replicator_steps(out, x0.shares, game.rows, dt, n_steps, stop, stride)
+    else:
+        last = _mutator_steps(out, x0.shares, game.rows, _uniform_rows(game.mu), dt, n_steps,
                               stop, stride)
-    out.release()
+    i = stride * last
+    end = (out[i], out[i + 1], out[i + 2])
     if not keep_states:
-        times = np.array([last * dt])
-    else:
-        states = states if last == n_steps else states[: last + 1].copy()
-        # Scaled in place: dt * np.arange(last + 1) would first build an int64
-        # array as large as the result.
-        times = np.arange(last + 1, dtype=float)
-        times *= dt
-    return Trajectory._adopt(times, states, params, float(mu), float(dt), last)
+        return Trajectory._adopt(params, float(mu), float(dt), last, end)
+    out.release()
+    states = states if last == n_steps else states[: last + 1].copy()
+    # Scaled in place: dt * np.arange(last + 1) would first build an int64
+    # array as large as the result.
+    times = np.arange(last + 1, dtype=float)
+    times *= dt
+    return Trajectory._adopt(params, float(mu), float(dt), last, end, times=times, states=states)
 
 
 # The two loops below are one RK4 scheme: stages, simplex check, projection,
@@ -470,5 +541,7 @@ def _mutator_steps(out, x, payoff, q, dt, n_steps, stop, stride) -> int:
 
 def trajectory_phi(traj: Trajectory) -> np.ndarray:
     """Average fitness phi at every stored state of a trajectory."""
+    import numpy as np
+
     f = traj.states @ flow(traj.params, traj.mu).payoff.T
     return np.einsum("ij,ij->i", traj.states, f)

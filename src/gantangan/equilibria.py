@@ -8,6 +8,13 @@ output.
 
 All operations are pure; sweep cells and portrait seeds are independent and
 may be evaluated in parallel, with results always reported in input order.
+
+The rest-point search (:func:`_rest_points`) runs on Python floats: at
+mu = 0 it needs no numpy, while at mu > 0 its seeds come from ``np.roots``.
+Classification, on the Jacobian, and the ternary projection use numpy,
+imported by the functions that build arrays when they first run. A sweep
+at mu = 0 integrates, counts rest points and labels its cells on floats, so
+it does not load numpy.
 """
 
 from __future__ import annotations
@@ -16,13 +23,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dynamics import CONVERGENCE_RESIDUAL, Flow, Trajectory, flow, integrate
 from .game import GantanganParams, PopulationState
 from .rules import check_range, check_seed_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Stability",
@@ -78,7 +86,7 @@ VERTEX_LABEL_TOL = 1e-3
 SWEEP_DT = 0.01
 SWEEP_T_CAP = 2000.0
 
-_SQRT3_2 = float(np.sqrt(3.0) / 2.0)
+_SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
 class Stability(Enum):
@@ -140,6 +148,8 @@ def jacobian(state: PopulationState, params: GantanganParams, mu: float = 0.0) -
 
 
 def _locate(x: np.ndarray, tol: float = 1e-7) -> Location:
+    import numpy as np
+
     zeros = x <= tol
     if zeros.sum() == 2:
         return (Location.VERTEX_ALPHA, Location.VERTEX_BETA, Location.VERTEX_GAMMA)[
@@ -188,8 +198,8 @@ def classify_stability(
     the band is NONHYPERBOLIC. The report keeps the unscaled numbers.
     """
     game_flow = flow(params, mu)
-    scale = float(game_flow.payoff[0, 0])  # max|payoff| = n (p_es + m_ss)
-    residual = max(map(abs, game_flow.velocity(*state.x.tolist())))
+    scale = game_flow.rows[0][0]  # max|payoff| = n (p_es + m_ss)
+    residual = max(map(abs, game_flow.velocity(*state.shares)))
     # Written as the accepting test, so that a NaN residual fails it.
     if not residual / scale <= RESIDUAL_BOUND:
         raise ValueError(
@@ -210,25 +220,26 @@ def classify_stability(
     return FixedPointReport(state, residual, pair, stability, _locate(state.x))
 
 
-def _edge_candidates(payoff: np.ndarray) -> list[np.ndarray]:
+def _edge_candidates(payoff) -> list[tuple[float, float, float]]:
     """Points inside an edge, and more than ``DEDUP_RADIUS`` from its ends,
     where the two supported strategies have equal fitness; the condition is
     affine along each edge. A point closer to a vertex is that vertex. The
-    point is a ratio of payoff differences, so the payoff scale drops out."""
-    out: list[np.ndarray] = []
+    point is a ratio of payoff differences, so the payoff scale drops out.
+    ``payoff`` is the matrix's rows."""
+    out = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
         # Fitness gap of i over j at the j-end (a = 0) and the i-end (a = 1).
-        gap0 = payoff[i, j] - payoff[j, j]
-        gap1 = payoff[i, i] - payoff[j, i]
+        gap0 = payoff[i][j] - payoff[j][j]
+        gap1 = payoff[i][i] - payoff[j][i]
         denom = gap0 - gap1
         if denom == 0.0:
             continue
         a = gap0 / denom
         if DEDUP_RADIUS < a < 1.0 - DEDUP_RADIUS:
-            x = np.zeros(3)
+            x = [0.0, 0.0, 0.0]
             x[i] = a
             x[j] = 1.0 - a
-            out.append(x)
+            out.append(tuple(x))
     return out
 
 
@@ -239,6 +250,8 @@ def _newton_refine(seed: np.ndarray, game_flow: Flow) -> np.ndarray | None:
     Substituting x_gamma = 1 - z0 - z1 turns the Jacobian of the first two
     velocity components into :func:`_plane`; Cramer's rule solves its system.
     """
+    import numpy as np
+
     z0, z1 = seed.tolist()
     f0, f1, _ = game_flow.velocity(z0, z1, 1.0 - z0 - z1)
     norm = max(abs(f0), abs(f1))
@@ -271,6 +284,8 @@ def _newton_refine(seed: np.ndarray, game_flow: Flow) -> np.ndarray | None:
 
 def _near_real(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Real parts of the roots within ``ROOT_SLACK`` of the interval [lo, hi]."""
+    import numpy as np
+
     return roots[(np.abs(roots.imag) <= ROOT_SLACK)
                  & (roots.real >= lo - ROOT_SLACK) & (roots.real <= hi + ROOT_SLACK)].real
 
@@ -292,8 +307,10 @@ def _mutation_seeds(game_flow: Flow) -> list[np.ndarray]:
     near it sits at b ~ mu, in a root cluster of Q that the companion matrix
     cannot resolve at tiny mu.
     """
-    (_, _, m), _, (p, _, _) = game_flow.payoff.tolist()
-    mu = game_flow.kernel.mu
+    import numpy as np
+
+    (_, _, m), _, (p, _, _) = game_flow.rows
+    mu = game_flow.mu
     h, d, c, k = 0.5 * (p + m), 0.5 * (p - m), 1.0 - 1.5 * mu, 0.5 * mu
     # Coefficients in descending powers of b, as np.roots takes them.
     num = m * np.array([-1.0, 2.0 + k, -2.0 * k - c])
@@ -308,18 +325,45 @@ def _mutation_seeds(game_flow: Flow) -> list[np.ndarray]:
     return seeds + [np.array([1.0, 0.0])]
 
 
-def _mutation_candidates(game_flow: Flow) -> list[np.ndarray]:
+def _mutation_candidates(game_flow: Flow) -> list[tuple[float, float, float]]:
     """The abstainer vertex, exactly (x * Ax = 0 there, so it is stationary
     for every kernel), and the Newton-polished :func:`_mutation_seeds`. Of
     roots within ``DEDUP_RADIUS`` of each other the first is kept: the exact
     vertex, then a root from the eliminant's seeds, which start closer than
     the alpha vertex and so end with a smaller residual."""
+    import numpy as np
+
     out = [np.array([0.0, 0.0, 1.0])]
     for seed in _mutation_seeds(game_flow):
         root = _newton_refine(seed, game_flow)
         if root is not None and all(float(np.max(np.abs(root - x))) > DEDUP_RADIUS for x in out):
             out.append(root)
-    return out
+    return [tuple(x.tolist()) for x in out]
+
+
+def _rest_points(params: GantanganParams, mu: float) -> list[tuple[float, float, float]]:
+    """The stationary states of :func:`find_fixed_points`, as float triples
+    in its order: the candidates, sorted by (x_alpha, x_beta) descending,
+    less those within ``DEDUP_RADIUS`` of one kept before and those whose
+    residual exceeds ``RESIDUAL_BOUND`` s. At mu = 0 this runs on floats alone."""
+    scaled = flow(params, mu)
+    scale = scaled.rows[0][0]  # max|payoff| = n (p_es + m_ss)
+    if scaled.mu == 0.0:
+        candidates = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        candidates += _edge_candidates(scaled.rows)
+    else:
+        unit = tuple(tuple(v / scale for v in row) for row in scaled.rows)
+        candidates = _mutation_candidates(Flow(unit, scaled.mu))
+    candidates.sort(key=lambda x: (-x[0], -x[1]))
+    kept: list[tuple[float, float, float]] = []
+    for x in candidates:
+        if any(max(abs(x[0] - y[0]), abs(x[1] - y[1]), abs(x[2] - y[2])) <= DEDUP_RADIUS
+               for y in kept):
+            continue
+        if not max(map(abs, scaled.velocity(*x))) / scale <= RESIDUAL_BOUND:
+            continue
+        kept.append(x)
+    return kept
 
 
 def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPointReport]:
@@ -344,37 +388,34 @@ def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPoi
     the count, order, location and stability of the listing depend on
     m_ss / (p_es + m_ss) and mu alone.
     """
-    scaled = flow(params, mu)
-    scale = float(scaled.payoff[0, 0])  # max|payoff| = n (p_es + m_ss)
-    if scaled.kernel.mu == 0.0:
-        candidates = [PopulationState.vertex(s).x for s in (0, 1, 2)]
-        candidates += _edge_candidates(scaled.payoff)
-    else:
-        candidates = _mutation_candidates(Flow(scaled.payoff / scale, scaled.kernel))
-    candidates.sort(key=lambda x: (-x[0], -x[1]))
-    reports: list[FixedPointReport] = []
-    kept: list[np.ndarray] = []
-    for x in candidates:
-        if any(float(np.max(np.abs(x - y))) <= DEDUP_RADIUS for y in kept):
-            continue
-        if not max(map(abs, scaled.velocity(*x.tolist()))) / scale <= RESIDUAL_BOUND:
-            continue
-        kept.append(x)
-        reports.append(classify_stability(PopulationState(x), params, mu))
-    return reports
+    return [classify_stability(PopulationState(x), params, mu) for x in _rest_points(params, mu)]
 
 
-def _attractor_label(x: np.ndarray) -> AttractorLabel:
+def _attractor_label(x: tuple[float, float, float]) -> AttractorLabel:
     for vertex, label in (
         (0, AttractorLabel.ALPHA_DOMINANT),
         (1, AttractorLabel.BETA_DOMINANT),
         (2, AttractorLabel.OTHER),
     ):
-        target = np.zeros(3)
-        target[vertex] = 1.0
-        if float(np.max(np.abs(x - target))) < VERTEX_LABEL_TOL:
+        if max(abs(v - 1.0 if k == vertex else v) for k, v in enumerate(x)) < VERTEX_LABEL_TOL:
             return label
     return AttractorLabel.MIXED
+
+
+def _grid(lo: float, hi: float, k: int) -> list[float]:
+    """``np.linspace(lo, hi, k)`` for k >= 2, on floats with numpy's
+    operations: value j is j * step + lo with step = (hi - lo) / (k - 1), or
+    j / (k - 1) * (hi - lo) + lo where the step underflows to zero, and the
+    last value is hi."""
+    lo, hi, div = float(lo), float(hi), k - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        values = [j / div * delta + lo for j in range(k)]
+    else:
+        values = [j * step + lo for j in range(k)]
+    values[-1] = hi
+    return values
 
 
 def sweep(
@@ -397,11 +438,15 @@ def sweep(
     time: each cell integrates and counts rest points on the n = 1 flow, with
     the step dt = 0.01, the time cap 2000 and the 1e-10 bound in n = 1 time.
     ``n`` is checked once; results do not depend on it.
+
+    The grid, the endpoints, the counts (those of :func:`find_fixed_points`,
+    from the same search, unclassified) and the labels are computed on
+    floats, so at mu = 0 a sweep does not load numpy.
     """
     check_range("p_range", p_range)
     check_range("m_range", m_range)
     GantanganParams(p_range[0], m_range[0], n)  # checks n
-    p_values, m_values = (np.linspace(lo, hi, int(k)) for lo, hi, k in (p_range, m_range))
+    p_values, m_values = (_grid(lo, hi, int(k)) for lo, hi, k in (p_range, m_range))
     start = PopulationState.uniform() if x0 is None else x0
     cells: list[SweepCell] = []
     for p in p_values:
@@ -409,8 +454,8 @@ def sweep(
             params = GantanganParams(p, m)
             end = integrate(start, params, mu, SWEEP_DT, SWEEP_T_CAP,
                             converge_tol=CONVERGENCE_RESIDUAL, keep_states=False).final
-            count = len(find_fixed_points(params, mu))
-            cells.append(SweepCell(float(p), float(m), _attractor_label(end.x), count, end))
+            count = len(_rest_points(params, mu))
+            cells.append(SweepCell(p, m, _attractor_label(end.shares), count, end))
     return cells
 
 
@@ -422,6 +467,8 @@ def ternary_project(state: PopulationState) -> TernaryPoint:
 
 def ternary_coordinates(states: np.ndarray) -> np.ndarray:
     """Vectorized ternary projection of an (n, 3) block of simplex rows."""
+    import numpy as np
+
     states = np.asarray(states, dtype=float)
     return np.column_stack(
         [states[:, 1] + 0.5 * states[:, 2], _SQRT3_2 * states[:, 2]]
@@ -446,7 +493,7 @@ def interior_lattice(count: int, margin: float = 0.05) -> list[PopulationState]:
         ]
         inside = [p for p in points if min(p) >= margin - 1e-12]
         if len(inside) >= count:
-            return [PopulationState(np.array(p)) for p in inside[:int(count)]]
+            return [PopulationState(p) for p in inside[:int(count)]]
     raise AssertionError("unreachable")
 
 

@@ -8,17 +8,22 @@ collecting whatever the others hand out. Payoffs combine an economic return
 global scale factor ``n``.
 
 Everything in this module is a pure function of immutable values and is safe
-to call from any number of threads.
+to call from any number of threads. States and payoffs are held as Python
+floats; numpy is imported by the functions that build arrays, when they
+first run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .rules import SUM_NORMALIZE_TOL, frequency_sum, positive_params
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Strategy",
@@ -28,6 +33,7 @@ __all__ = [
     "DominanceRelation",
     "as_payoff_matrix",
     "build_payoff",
+    "payoff_rows",
     "fitness",
     "average_fitness",
     "dominance",
@@ -67,40 +73,63 @@ class GantanganParams:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True, eq=False)
+def _three_floats(x) -> list[float]:
+    """The entries of ``x`` as floats, as ``np.array(x, dtype=float)`` reads
+    them; ``x`` must hold exactly three. A list or tuple of three numbers is
+    read without numpy."""
+    if isinstance(x, (list, tuple)) and len(x) == 3 and all(
+            isinstance(v, (int, float)) for v in x):
+        return [float(v) for v in x]
+    import numpy as np
+
+    a = np.array(x, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"state needs exactly 3 frequencies, got shape {a.shape}")
+    return a.tolist()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PopulationState:
     """Strategy frequencies (x_alpha, x_beta, x_gamma) on the unit simplex.
 
     Construction accepts vectors whose sum deviates from 1 by at most
     ``SUM_NORMALIZE_TOL`` and renormalizes them; anything further off, or any
-    negative component, is rejected. The stored array is read-only.
+    negative component, is rejected. ``shares`` holds the three frequencies
+    as floats; ``x`` holds them as a read-only array, built on first access.
     """
 
-    x: np.ndarray
+    shares: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float)
-        if x.shape != (3,):
-            raise ValueError(f"state needs exactly 3 frequencies, got shape {x.shape}")
-        x /= frequency_sum(x.tolist())
+    def __init__(self, x) -> None:
+        shares = _three_floats(x)
+        total = frequency_sum(shares)
+        object.__setattr__(self, "shares", tuple([v / total for v in shares]))
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        import numpy as np
+
+        x = np.array(self.shares)
         x.flags.writeable = False
-        object.__setattr__(self, "x", x)
+        return x
 
     @classmethod
     def uniform(cls) -> "PopulationState":
         """The barycenter (1/3, 1/3, 1/3)."""
-        return cls(np.full(3, 1.0 / 3.0))
+        return cls((1.0 / 3.0,) * 3)
 
     @classmethod
     def vertex(cls, strategy: Strategy) -> "PopulationState":
         """The monomorphic state playing only ``strategy``."""
-        x = np.zeros(3)
-        x[int(strategy)] = 1.0
-        return cls(x)
+        shares = [0.0, 0.0, 0.0]
+        shares[int(strategy)] = 1.0
+        return cls(shares)
 
 
 def as_payoff_matrix(payoff: np.ndarray) -> np.ndarray:
     """Validate and return a 3x3 matrix of finite reals."""
+    import numpy as np
+
     a = np.asarray(payoff, dtype=float)
     if a.shape != (3, 3):
         raise ValueError(f"payoff matrix must be 3x3, got shape {a.shape}")
@@ -109,8 +138,9 @@ def as_payoff_matrix(payoff: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_payoff(params: GantanganParams) -> np.ndarray:
-    """Payoff matrix of the deposit game, row strategy against column opponent.
+def payoff_rows(params: GantanganParams) -> tuple[tuple[float, float, float], ...]:
+    """Payoff matrix of the deposit game, row strategy against column opponent,
+    as three rows of floats.
 
     Over-depositors meeting each other realize both the economic and the
     social gain; against a standard depositor the combined gain is split.
@@ -120,13 +150,16 @@ def build_payoff(params: GantanganParams) -> np.ndarray:
     """
     p, m, n = params.p_es, params.m_ss, params.n
     half = (p + m) / 2.0
-    return n * np.array(
-        [
-            [p + m, half, m],
-            [half, m, m],
-            [p, m, 0.0],
-        ]
+    return tuple(
+        (n * a, n * b, n * c) for a, b, c in ((p + m, half, m), (half, m, m), (p, m, 0.0))
     )
+
+
+def build_payoff(params: GantanganParams) -> np.ndarray:
+    """The payoff matrix of :func:`payoff_rows` as a 3x3 array."""
+    import numpy as np
+
+    return np.array(payoff_rows(params))
 
 
 def fitness(state: PopulationState, payoff: np.ndarray) -> np.ndarray:
@@ -136,6 +169,8 @@ def fitness(state: PopulationState, payoff: np.ndarray) -> np.ndarray:
 
 def average_fitness(state: PopulationState, strategy_fitness: np.ndarray) -> float:
     """Population-weighted mean fitness: phi = x . f."""
+    import numpy as np
+
     f = np.asarray(strategy_fitness, dtype=float)
     if f.shape != (3,):
         raise ValueError(f"fitness vector must have 3 entries, got shape {f.shape}")
@@ -171,6 +206,8 @@ def dominance(
         raise ValueError("dominance needs two distinct strategies")
     if tol < 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    import numpy as np
+
     a = as_payoff_matrix(payoff)
     row_i, row_j = a[int(i)], a[int(j)]
     if np.all(row_i > row_j + tol):

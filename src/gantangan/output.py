@@ -7,7 +7,8 @@ label as its text. CSV writes these lines under a header of the column
 names. JSON splits a line into its cells and writes each cell's JSON text
 into records laid out as ``json.dumps(indent=2)`` lays them out, so that
 both formats carry the same rounded values. Output is written as it is
-formatted.
+formatted. numpy is imported only to lay out trajectory rows, so that a
+sweep or a listing is written on the standard library.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterable, Iterator
-
-import numpy as np
 
 from .dynamics import Trajectory, trajectory_phi
 from .equilibria import FixedPointReport, SweepCell, ternary_coordinates
@@ -113,6 +112,8 @@ def _emit(out: str, fmt: str, schema: dict, blocks: Iterable[list[tuple]], head:
 def _trajectory_blocks(traj: Trajectory, *lead: int) -> Iterator[list[tuple]]:
     """Rows of ``_TRAJECTORY``, each led by ``lead``, in blocks of
     ``_BLOCK_ROWS`` read from one (k, 7) table."""
+    import numpy as np
+
     table = np.column_stack(
         [traj.times, traj.states, ternary_coordinates(traj.states), trajectory_phi(traj)]
     )
@@ -142,20 +143,20 @@ def _floats(*values) -> Iterator[float]:
 def _equilibria_row(report: FixedPointReport) -> tuple:
     e1, e2 = report.eigenvalues
     return (
-        *_floats(*report.state.x, report.residual, e1.real, e1.imag, e2.real, e2.imag),
+        *_floats(*report.state.shares, report.residual, e1.real, e1.imag, e2.real, e2.imag),
         report.stability.value, report.location.value,
     )
 
 
 def emit_equilibria(reports: list[FixedPointReport], fmt: str = "csv", out: str = "-") -> None:
     """Serialize stationary-state reports, sorted by (x_alpha, x_beta) descending."""
-    ordered = sorted(reports, key=lambda r: (-r.state.x[0], -r.state.x[1]))
+    ordered = sorted(reports, key=lambda r: (-r.state.shares[0], -r.state.shares[1]))
     _emit(out, fmt, _EQUILIBRIA, [[_equilibria_row(r) for r in ordered]], {}, "points")
 
 
 def _sweep_row(cell: SweepCell) -> tuple:
     return (*_floats(cell.p_es, cell.m_ss), cell.attractor_label.value, cell.fixed_point_count,
-            *_floats(*cell.endpoint.x))
+            *_floats(*cell.endpoint.shares))
 
 
 def emit_sweep(cells: list[SweepCell], fmt: str = "csv", out: str = "-") -> None:

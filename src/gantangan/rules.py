@@ -2,10 +2,11 @@
 
 Each rule raises a ValueError with the library's message for a rejected
 input. The constructors and functions that take these inputs call them:
-``GantanganParams`` (:func:`positive_params`), ``MutationKernel``
+``GantanganParams`` (:func:`positive_params`), ``MutationKernel`` and ``flow``
 (:func:`check_mu`), ``flow`` (:func:`check_payoff_scale`), ``PopulationState``
-(:func:`frequency_sum`), ``integrate`` (:func:`horizon_steps`), ``sweep``
-(:func:`check_range`) and ``interior_lattice`` (:func:`check_seed_count`).
+and each row of a ``Trajectory`` (:func:`frequency_sum`), ``integrate``
+(:func:`horizon_steps`), ``sweep`` (:func:`check_range`) and
+``interior_lattice`` (:func:`check_seed_count`).
 The CLI validates an argv with the same functions. This module imports no
 numpy, so ``--dump-config``, ``--help`` and every argv rejected before a
 command computes run on the standard library alone.

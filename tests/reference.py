@@ -30,6 +30,27 @@ def direct_velocity(x, a, q):
     ]
 
 
+def basin_label_mu0(p, m, x):
+    """Attractor of the mu = 0 flow of the game (p_es, m_ss) = (p, m) from a
+    start ``x`` inside the simplex, read off the line
+    L: (p + m) x_alpha = (m - p) x_beta.
+
+    From the payoff rows, f_alpha - f_beta = (n / 2) ((p + m) x_alpha
+    - (m - p) x_beta), so by the quotient rule ln(x_alpha / x_beta) moves
+    with the sign of that difference, and L, where it vanishes, is invariant:
+    no run crosses it. A start above L ends at the alpha vertex, one below it
+    at the beta vertex (along the beta-gamma edge), and one on it at the edge
+    saddle x_alpha = (m - p) / (2 m), for which this returns None. For p >= m
+    every interior start lies above L.
+    """
+    side = (p + m) * x[0] - (m - p) * x[1]
+    if side > 0.0:
+        return "ALPHA_DOMINANT"
+    if side < 0.0:
+        return "BETA_DOMINANT"
+    return None
+
+
 def directional_derivative(x, v, a, q):
     """Analytic derivative of the velocity field at x along direction v.
 

@@ -852,6 +852,54 @@ def test_start_up_and_rejected_argvs_load_no_numpy_or_dataclasses():
     assert result["numpy"]  # a command that computes loads it
 
 
+_THIRD = repr(1.0 / 3.0)
+# Sweeps at mu = 0, each with whether its output is sweep_golden.json's bytes:
+# CSV and JSON, without --x0 and with one (the uniform start spelled out, or
+# a start off it).
+_NUMPY_FREE_SWEEPS = [
+    (["--format", "csv"], False),
+    (["--format", "csv", "--x0", "0.2,0.3,0.5"], False),
+    (["--format", "json"], True),
+    (["--format", "json", "--x0", ",".join([_THIRD] * 3)], True),
+    (["--format", "json", "--x0", "0.05,0.9,0.05"], False),
+]
+
+
+def test_sweep_at_mu0_loads_no_numpy():
+    # A fresh interpreter, since this one has numpy loaded already.
+    script = """if True:
+        import json, sys
+        import gantangan.game, gantangan.dynamics, gantangan.equilibria, gantangan.output
+        assert "numpy" not in sys.modules, "import of the computing modules"
+        from gantangan.cli import main
+        codes, outputs = [], []
+        for extra in json.loads(sys.argv[1]):
+            codes.append(main(["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2", *extra,
+                               "--out", sys.argv[2]]))
+            assert "numpy" not in sys.modules, extra
+            with open(sys.argv[2], encoding="utf-8", newline="") as fh:
+                outputs.append(fh.read())
+        codes.append(main(["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2", "--mu", "0.01",
+                           "--out", sys.argv[2]]))
+        print(json.dumps({"codes": codes, "outputs": outputs, "numpy": "numpy" in sys.modules}))
+    """
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([argv for argv, _ in _NUMPY_FREE_SWEEPS]),
+             os.path.join(tmp, "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [EXIT_OK] * (len(_NUMPY_FREE_SWEEPS) + 1)
+    assert result["numpy"]  # the sweep at mu = 0.01 finds its seeds with np.roots
+    golden = (DATA / "sweep_golden.json").read_text(encoding="utf-8")
+    for (argv, is_golden), text in zip(_NUMPY_FREE_SWEEPS, result["outputs"]):
+        assert (text == golden) == is_golden, argv
+
+
 def _verdict(rule, *args) -> str | None:
     try:
         rule(*args)

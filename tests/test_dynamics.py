@@ -527,6 +527,21 @@ def test_integrate_hands_its_arrays_over_uncopied(monkeypatch, mu):
                 array[0] = 0.0
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(p=_flows["p"], m=_flows["m"], mu=st.floats(0.0, 2.0 / 3.0), weights=_flows["weights"])
+@example(p=1.0, m=3.0, mu=0.0, weights=(1.0, 1.0, 1.0))
+@example(p=1.0, m=3.0, mu=2.0 / 3.0, weights=(1.0, 1.0, 1.0))
+@example(p=1.0, m=50.0, mu=0.01, weights=(0.1, 0.1, 0.8))
+def test_beta_never_overtakes_alpha_up_to_mu_two_thirds(p, m, mu, weights):
+    # On x_alpha = x_beta, F_alpha - F_beta = (1 - 3 mu / 2) n p x_alpha^2 >= 0
+    # for mu <= 2/3, so the half-simplex x_alpha >= x_beta is forward
+    # invariant: from the uniform start beta is never ahead (criterion 3).
+    w = sorted(weights[:2], reverse=True) + [weights[2]]
+    traj = integrate(_start(w), GantanganParams(p, m), mu, 0.01, 20.0)
+    a, b = traj.states[:, 0], traj.states[:, 1]
+    assert np.all(b - a <= 4.0 * np.spacing(np.maximum(a, b)))
+
+
 def test_trajectory_copies_a_callers_arrays():
     times = np.array([0.0, 0.1, 0.2])
     states = np.tile([1.0, 0.0, 0.0], (3, 1))
@@ -559,6 +574,32 @@ def test_trajectory_rejects_malformed_grids():
     for times in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [np.nan]):
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             Trajectory(np.array(times), good[: len(times)], params, 0.0, 0.1)
+
+
+def test_trajectory_rejects_bad_rows_and_a_dt_off_the_spacing():
+    params = GantanganParams(2, 1)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        Trajectory([0.0, 0.1], [[nan, 0, 0], [2.0, -1.0, 0.0]], params, 0.0, 0.1)
+    # Each row by the rule of PopulationState: finite, nonnegative, summing
+    # to 1 within 1e-6.
+    for row, message in (([2.0, -1.0, 0.0], "nonnegative"), ([0.0, np.inf, 0.0], "finite"),
+                         ([0.5, 0.5, 1e-5], "sum to 1")):
+        with pytest.raises(ValueError, match=message):
+            Trajectory([0.0, 0.1], [[1.0, 0.0, 0.0], row], params, 0.0, 0.1)
+    Trajectory([0.0, 0.1], [[1.0, 0.0, 0.0], [0.5, 0.5, 1e-7]], params, 0.0, 0.1)
+    good = np.tile([1.0, -0.0, 0.0], (3, 1))
+    Trajectory([0.0, 0.1, 0.2], good, params, 0.0, 0.1)
+    Trajectory([0.3], good[:1], params, 0.0, 0.25)
+    for dt in (0.2, 0.05, 0.1 * (1.0 + 2e-6), 0.0, -0.1, nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be positive and the spacing of times"):
+            Trajectory([0.0, 0.1, 0.2], good, params, 0.0, dt)
+    for dt in (0.0, -1.0, nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            Trajectory([0.3], good[:1], params, 0.0, dt)
+    # The grid integrate writes, k * dt, is spaced dt apart within rounding.
+    times = 0.01 * np.arange(100_001)
+    Trajectory(times, np.tile([1.0, 0.0, 0.0], (times.size, 1)), params, 0.0, 0.01)
 
 
 def test_derivative_rejects_bad_payoff():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gantangan.equilibria as equilibria_module
@@ -34,6 +34,7 @@ from gantangan import (
 )
 
 from reference import (
+    basin_label_mu0,
     directional_derivative,
     direct_velocity,
     mutation_rest_points,
@@ -295,10 +296,10 @@ def test_each_report_is_classified_through_the_traced_names(calls, mu):
 
 
 def test_sweep_integrates_and_lists_once_per_cell_through_the_traced_names(calls):
+    # A cell counts its rest points with find_fixed_points's search, which
+    # classifies nothing, so integrate is the only traced name it calls.
     cells = equilibria_module.sweep((1.0, 2.0, 2), (0.5, 1.5, 2), n=3.0)
-    reports = sum(c.fixed_point_count for c in cells)
-    assert calls.counts == {"integrate": 4, "find_fixed_points": 4,
-                            "classify_stability": reports, "jacobian": reports}
+    assert calls.counts == {"integrate": 4}
     # A cell keeps only its endpoint, yet its length still counts every step
     # of the run: tracing.py sums them into dynamics.rk4_steps.
     full = [integrate(PopulationState.uniform(), GantanganParams(c.p_es, c.m_ss), 0.0,
@@ -459,15 +460,65 @@ def test_sink_label_and_strict_dominance_co_occur():
 
 
 def test_sweep_grid_order_and_consistency():
-    cells = sweep((1.0, 2.0, 2), (0.5, 1.0, 2))
-    assert [(c.p_es, c.m_ss) for c in cells] == [(1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0)]
-    for cell in cells:
-        params = GantanganParams(cell.p_es, cell.m_ss, 1.0)
-        direct = integrate(
-            PopulationState.uniform(), params, dt=0.01, t_end=2000.0, converge_tol=1e-10
-        ).final.x
-        assert np.array_equal(cell.endpoint.x, direct)
-        assert cell.fixed_point_count == len(find_fixed_points(params, 0.0))
+    for mu in (0.0, 0.01):
+        cells = sweep((1.0, 2.0, 2), (0.5, 1.0, 2), mu=mu)
+        assert [(c.p_es, c.m_ss) for c in cells] == [
+            (1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0)]
+        for cell in cells:
+            params = GantanganParams(cell.p_es, cell.m_ss, 1.0)
+            direct = integrate(
+                PopulationState.uniform(), params, mu, dt=0.01, t_end=2000.0, converge_tol=1e-10
+            ).final.x
+            assert np.array_equal(cell.endpoint.x, direct)
+            assert cell.fixed_point_count == len(find_fixed_points(params, mu))
+
+
+# Starts whose side of the invariant line L, (p + m) x_alpha - (m - p) x_beta,
+# is at least this times p + m away from 0; a start closer to L ends near the
+# edge saddle, or reaches its vertex only after the sweep's time cap.
+_BASIN_MARGIN = 0.05
+
+
+def _clear_of_the_line(p, m, x) -> bool:
+    return abs((p + m) * x[0] - (m - p) * x[1]) >= _BASIN_MARGIN * (p + m)
+
+
+@settings(max_examples=5, deadline=None, database=None)
+@given(p=st.floats(1.0, 4.0), m=st.floats(1.0, 4.0), widths=st.tuples(*[st.floats(0.01, 1.0)] * 2),
+       weights=st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0.0))
+# Two cells with m > p below L, each running to the time cap on its way to
+# the beta vertex, and two with p > m, above it.
+@example(p=1.5, m=2.0, widths=(1.0, 0.01), weights=(0.05, 0.9, 0.05))
+def test_sweep_labels_at_mu0_are_the_side_of_the_invariant_line(p, m, widths, weights):
+    start = PopulationState([w / sum(weights) for w in weights])
+    p_range, m_range = (p, p * (1.0 + widths[0]), 2), (m, m * (1.0 + widths[1]), 2)
+    # Every cell clear of L, so that no draw spends the time cap on a cell it cannot check.
+    assume(all(_clear_of_the_line(p_es, m_ss, start.shares)
+               for p_es in p_range[:2] for m_ss in m_range[:2]))
+    for cell in sweep(p_range, m_range, x0=start):
+        assert cell.attractor_label.value == basin_label_mu0(cell.p_es, cell.m_ss, start.shares)
+
+
+# Positive floats from 1e-300 to 1e300, and subnormals, whose ranges can be so
+# narrow that (hi - lo) / (k - 1) underflows to zero.
+_GRID_ENDS = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.integers(1, 2 ** 12).map(lambda k: k * 5e-324),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ends=st.tuples(_GRID_ENDS, _GRID_ENDS).filter(lambda t: t[0] != t[1]).map(sorted),
+       k=st.integers(2, 50))
+# The step underflows: (1e-323 - 5e-324) / 49 is below the least subnormal.
+@example(ends=[5e-324, 1e-323], k=50)
+@example(ends=[1e-300, 1e300], k=50)
+@example(ends=[1.0, 1.0000000000000002], k=3)
+def test_sweep_grid_is_numpys_linspace_bit_for_bit(ends, k):
+    lo, hi = ends
+    got = equilibria_module._grid(lo, hi, k)
+    assert np.array(got).tobytes() == np.linspace(lo, hi, k).tobytes()
+    assert all(type(v) is float for v in got)
 
 
 def test_sweep_labels_alpha_when_economy_leads():
