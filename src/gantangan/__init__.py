@@ -12,9 +12,9 @@ import importlib
 # command computes.
 _EXPORTS = {
     **dict.fromkeys(
-        ("CONVERGENCE_RESIDUAL", "MutationKernel", "StepSizeError", "Trajectory", "derivative",
-         "integrate", "replicator_field", "replicator_mutator_field", "trajectory_phi",
-         "uniform_kernel"), "dynamics"),
+        ("CONVERGENCE_RESIDUAL", "MutationKernel", "StepSizeError", "Trajectory", "integrate",
+         "replicator_field", "replicator_mutator_field", "trajectory_phi", "uniform_kernel"),
+        "dynamics"),
     **dict.fromkeys(
         ("AttractorLabel", "FixedPointReport", "Location", "Stability", "SweepCell",
          "TernaryPoint", "classify_stability", "find_fixed_points", "interior_lattice",

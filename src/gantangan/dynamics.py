@@ -4,14 +4,14 @@ The velocity of strategy i is
 
     dx_i/dt = sum_j x_j f_j q[j, i] - x_i phi
 
-with f the fitness vector, phi the average fitness, and q a row-stochastic
-mutation kernel. With the identity kernel this reduces to the familiar
-replicator form x_i (f_i - phi). Trajectories come from a fixed-step
-classical Runge-Kutta integrator that projects each step back onto the
-simplex, which keeps golden outputs reproducible. The integrator steps on
-Python floats, not numpy 3-vectors, so the printed bytes do not pass
-through BLAS's 3x3 kernels, whose summation order depends on the CPU kernel
-picked at run time. Its loop carries the field inline: a step costs about
+with f the fitness vector, phi the average fitness, and q the uniform
+mutation kernel of the rate mu, the engine's only mutation input. At mu = 0
+this is the familiar replicator form x_i (f_i - phi). Trajectories come from
+a fixed-step classical Runge-Kutta integrator that projects each step back
+onto the simplex, which keeps golden outputs reproducible. The integrator
+steps on Python floats, not numpy 3-vectors, so the printed bytes do not
+pass through BLAS's 3x3 kernels, whose summation order depends on the CPU
+kernel picked at run time. Its loop carries the field inline: a step costs about
 1.8 µs, against 2.3 µs when each stage calls :attr:`Flow.velocity` and 40 µs
 on numpy 3-vectors (CPython 3.11 on a 2-core Xeon), and about 1.8 times as
 much at a state with a subnormal share.
@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .game import GantanganParams, PopulationState, as_payoff_matrix, payoff_rows
+from .game import GantanganParams, PopulationState, payoff_rows
 from .rules import check_mu, check_payoff_scale, frequency_sum, horizon_steps
 
 if TYPE_CHECKING:
@@ -47,15 +47,12 @@ __all__ = [
     "uniform_kernel",
     "replicator_field",
     "replicator_mutator_field",
-    "derivative",
     "horizon_steps",
     "integrate",
     "trajectory_phi",
     "CONVERGENCE_RESIDUAL",
     "SIMPLEX_STEP_TOL",
 ]
-
-ROW_SUM_TOL = 1e-12
 
 # A post-step state further than this outside the simplex means the step size
 # is too large for the projection to absorb.
@@ -79,42 +76,25 @@ class StepSizeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MutationKernel:
-    """Row-stochastic strategy transition matrix.
-
-    ``q[j, i]`` is the probability that a replicating j-strategist produces
-    an i-strategist; ``mu`` is the total off-diagonal mass per row.
-    """
+    """The uniform kernel of :func:`uniform_kernel`: in the read-only 3x3
+    ``q``, ``q[j, i]`` is the probability that a replicating j-strategist
+    produces an i-strategist."""
 
     q: np.ndarray
     mu: float
 
-    def __post_init__(self) -> None:
-        check_mu(self.mu)
-        import numpy as np
-
-        q = np.array(self.q, dtype=float)
-        if q.shape != (3, 3):
-            raise ValueError(f"kernel must be 3x3, got shape {q.shape}")
-        if np.any(q < 0.0) or np.any(q > 1.0):
-            raise ValueError("kernel entries must lie in [0, 1]")
-        sums = q.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
-            raise ValueError(f"kernel rows must sum to 1 within {ROW_SUM_TOL:g}, got {sums.tolist()}")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "mu", float(self.mu))
-
-
-def _uniform_rows(mu: float) -> tuple[tuple[float, float, float], ...]:
-    """The rows of :func:`uniform_kernel`'s ``q`` as floats."""
-    keep, move = 1.0 - mu, mu / 2.0
-    return ((keep, move, move), (move, keep, move), (move, move, keep))
-
 
 def uniform_kernel(mu: float) -> MutationKernel:
     """Kernel keeping the parent strategy with probability 1 - mu and
-    splitting mu evenly over the other two; mu = 0 gives the identity."""
-    return MutationKernel(_uniform_rows(mu), float(mu))
+    splitting mu evenly over the other two; mu = 0 gives the identity. A
+    rate outside [0, 1) is rejected (:func:`check_mu`)."""
+    import numpy as np
+
+    mu = float(mu)
+    check_mu(mu)
+    keep, move = 1.0 - mu, mu / 2.0
+    q = np.array([[keep, move, move], [move, keep, move], [move, move, keep]])
+    return MutationKernel(_read_only(q), mu)
 
 
 def replicator_field(x: np.ndarray, payoff: np.ndarray) -> np.ndarray:
@@ -142,24 +122,22 @@ def replicator_mutator_field(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -
 class Flow:
     """The velocity field of one payoff matrix, given as three rows of
     floats, under the uniform kernel of ``mu``; ``velocity`` evaluates it on
-    Python floats (:func:`_scalar_field`). The read-only arrays ``payoff`` and
-    ``kernel`` are built on first access."""
+    Python floats from the rows and ``mu`` (:func:`_scalar_field`). The
+    read-only arrays ``payoff`` and ``kernel.q``, which only :meth:`jacobian`
+    reads, are built on first access."""
 
     rows: tuple[tuple[float, float, float], ...]
     mu: float
     velocity: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = None if self.mu == 0.0 else _uniform_rows(self.mu)
-        object.__setattr__(self, "velocity", _scalar_field(self.rows, q))
+        object.__setattr__(self, "velocity", _scalar_field(self.rows, self.mu))
 
     @functools.cached_property
     def payoff(self) -> np.ndarray:
         import numpy as np
 
-        payoff = np.array(self.rows)
-        payoff.flags.writeable = False
-        return payoff
+        return _read_only(np.array(self.rows))
 
     @functools.cached_property
     def kernel(self) -> MutationKernel:
@@ -194,17 +172,6 @@ def flow(params: GantanganParams, mu: float) -> Flow:
     return Flow(payoff_rows(params), mu)
 
 
-def derivative(state: PopulationState, payoff: np.ndarray,
-               kernel: MutationKernel | None = None) -> np.ndarray:
-    """Time derivative of the frequencies at a validated state.
-
-    With ``kernel=None`` (the identity kernel) this is the pure replicator
-    derivative.
-    """
-    return replicator_mutator_field(state.x, as_payoff_matrix(payoff),
-                                    (kernel or uniform_kernel(0.0)).q)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -221,8 +188,8 @@ class Trajectory:
     number of states. An endpoint trajectory (``integrate(...,
     keep_states=False)``) holds only the last state, as three floats, so
     k = 1 and its arrays are built on first access, while ``steps`` and
-    ``len()`` still count the whole run. ``final`` reads the last state's
-    floats.
+    ``len()`` still count the whole run; its ``state(k)`` raises IndexError
+    for every k but the last. ``final`` reads the last state's floats.
     """
 
     params: GantanganParams
@@ -291,25 +258,29 @@ class Trajectory:
         return self.steps + 1
 
     def state(self, k: int) -> PopulationState:
-        return PopulationState(self.states[k])
+        if len(self.states) < len(self) and k not in (-1, self.steps):
+            raise IndexError(f"state {k}: a run with keep_states=False holds only its last state")
+        return PopulationState(self.states[k]) if len(self.states) == len(self) else self.final
 
     @property
     def final(self) -> PopulationState:
         return PopulationState(self._end)
 
 
-def _scalar_field(payoff, q):
+def _scalar_field(payoff, mu):
     """The velocity field on Python floats, from the rows of ``payoff`` and
-    of ``q``.
+    the mutation rate ``mu``.
 
-    Returns ``velocity(x0, x1, x2) -> (v0, v1, v2)``. With ``q=None`` it is the
-    replicator form x_i (f_i - phi), otherwise sum_j q[j, i] x_j f_j - x_i phi.
-    Every sum runs left to right; the other operations are those of
-    :func:`replicator_field` and :func:`replicator_mutator_field`. The RK4
-    loops of :func:`integrate` carry the same operations inline.
+    Returns ``velocity(x0, x1, x2) -> (v0, v1, v2)``. At mu = 0 it is the
+    replicator form x_i (f_i - phi), otherwise keep g_i + move g_j + move g_k
+    - x_i phi (j < k), the uniform kernel's sum_j q[j, i] g_j - x_i phi term
+    by term, with g = x * f, keep = 1 - mu and move = mu / 2. Every sum runs
+    left to right; the other operations are those of :func:`replicator_field`
+    and :func:`replicator_mutator_field`. The RK4 loops of :func:`integrate`
+    carry the same operations inline.
     """
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
-    if q is None:
+    if mu == 0.0:
         def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
             f0 = a00 * x0 + a01 * x1 + a02 * x2
             f1 = a10 * x0 + a11 * x1 + a12 * x2
@@ -318,7 +289,7 @@ def _scalar_field(payoff, q):
             return x0 * (f0 - phi), x1 * (f1 - phi), x2 * (f2 - phi)
         return velocity
 
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
+    keep, move = 1.0 - mu, mu / 2.0
 
     def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
         g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
@@ -326,9 +297,9 @@ def _scalar_field(payoff, q):
         g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
         phi = g0 + g1 + g2
         return (
-            q00 * g0 + q10 * g1 + q20 * g2 - x0 * phi,
-            q01 * g0 + q11 * g1 + q21 * g2 - x1 * phi,
-            q02 * g0 + q12 * g1 + q22 * g2 - x2 * phi,
+            keep * g0 + move * g1 + move * g2 - x0 * phi,
+            move * g0 + keep * g1 + move * g2 - x1 * phi,
+            move * g0 + move * g1 + keep * g2 - x2 * phi,
         )
     return velocity
 
@@ -381,8 +352,7 @@ def integrate(
     if game.mu == 0.0:
         last = _replicator_steps(out, x0.shares, game.rows, dt, n_steps, stop, stride)
     else:
-        last = _mutator_steps(out, x0.shares, game.rows, _uniform_rows(game.mu), dt, n_steps,
-                              stop, stride)
+        last = _mutator_steps(out, x0.shares, game.rows, game.mu, dt, n_steps, stop, stride)
     i = stride * last
     end = (out[i], out[i + 1], out[i + 2])
     if not keep_states:
@@ -471,11 +441,11 @@ def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
     return n_steps
 
 
-def _mutator_steps(out, x, payoff, q, dt, n_steps, stop, stride) -> int:
-    """:func:`_replicator_steps` for the replicator-mutator form
-    sum_j q[j, i] x_j f_j - x_i phi."""
+def _mutator_steps(out, x, payoff, mu, dt, n_steps, stop, stride) -> int:
+    """:func:`_replicator_steps` for the replicator-mutator form of the rate
+    ``mu`` > 0, keep g_i + move g_j + move g_k - x_i phi (:func:`_scalar_field`)."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
+    keep, move = 1.0 - mu, mu / 2.0
     tol = SIMPLEX_STEP_TOL
     low = -tol
     half = 0.5 * dt
@@ -486,34 +456,34 @@ def _mutator_steps(out, x, payoff, q, dt, n_steps, stop, stride) -> int:
     g1 = b * (a10 * a + a11 * b + a12 * c)
     g2 = c * (a20 * a + a21 * b + a22 * c)
     phi = g0 + g1 + g2
-    k1a = q00 * g0 + q10 * g1 + q20 * g2 - a * phi
-    k1b = q01 * g0 + q11 * g1 + q21 * g2 - b * phi
-    k1c = q02 * g0 + q12 * g1 + q22 * g2 - c * phi
+    k1a = keep * g0 + move * g1 + move * g2 - a * phi
+    k1b = move * g0 + keep * g1 + move * g2 - b * phi
+    k1c = move * g0 + move * g1 + keep * g2 - c * phi
     for k in range(1, n_steps + 1):
         x0, x1, x2 = a + half * k1a, b + half * k1b, c + half * k1c
         g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
         g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
         g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
         phi = g0 + g1 + g2
-        k2a = q00 * g0 + q10 * g1 + q20 * g2 - x0 * phi
-        k2b = q01 * g0 + q11 * g1 + q21 * g2 - x1 * phi
-        k2c = q02 * g0 + q12 * g1 + q22 * g2 - x2 * phi
+        k2a = keep * g0 + move * g1 + move * g2 - x0 * phi
+        k2b = move * g0 + keep * g1 + move * g2 - x1 * phi
+        k2c = move * g0 + move * g1 + keep * g2 - x2 * phi
         x0, x1, x2 = a + half * k2a, b + half * k2b, c + half * k2c
         g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
         g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
         g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
         phi = g0 + g1 + g2
-        k3a = q00 * g0 + q10 * g1 + q20 * g2 - x0 * phi
-        k3b = q01 * g0 + q11 * g1 + q21 * g2 - x1 * phi
-        k3c = q02 * g0 + q12 * g1 + q22 * g2 - x2 * phi
+        k3a = keep * g0 + move * g1 + move * g2 - x0 * phi
+        k3b = move * g0 + keep * g1 + move * g2 - x1 * phi
+        k3c = move * g0 + move * g1 + keep * g2 - x2 * phi
         x0, x1, x2 = a + dt * k3a, b + dt * k3b, c + dt * k3c
         g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
         g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
         g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
         phi = g0 + g1 + g2
-        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + (q00 * g0 + q10 * g1 + q20 * g2 - x0 * phi))
-        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + (q01 * g0 + q11 * g1 + q21 * g2 - x1 * phi))
-        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + (q02 * g0 + q12 * g1 + q22 * g2 - x2 * phi))
+        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + (keep * g0 + move * g1 + move * g2 - x0 * phi))
+        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + (move * g0 + keep * g1 + move * g2 - x1 * phi))
+        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + (move * g0 + move * g1 + keep * g2 - x2 * phi))
         s = a + b + c
         if not (a >= low and b >= low and c >= low and abs(s - 1.0) <= tol):
             raise StepSizeError(f"state left the simplex at t={k * dt:.6g}; dt={dt} is too large")
@@ -531,9 +501,9 @@ def _mutator_steps(out, x, payoff, q, dt, n_steps, stop, stride) -> int:
         g1 = b * (a10 * a + a11 * b + a12 * c)
         g2 = c * (a20 * a + a21 * b + a22 * c)
         phi = g0 + g1 + g2
-        k1a = q00 * g0 + q10 * g1 + q20 * g2 - a * phi
-        k1b = q01 * g0 + q11 * g1 + q21 * g2 - b * phi
-        k1c = q02 * g0 + q12 * g1 + q22 * g2 - c * phi
+        k1a = keep * g0 + move * g1 + move * g2 - a * phi
+        k1b = move * g0 + keep * g1 + move * g2 - b * phi
+        k1c = move * g0 + move * g1 + keep * g2 - c * phi
         if abs(k1a) < stop and abs(k1b) < stop and abs(k1c) < stop:
             return k
     return n_steps

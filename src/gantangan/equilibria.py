@@ -46,8 +46,6 @@ __all__ = [
     "ternary_project",
     "ternary_coordinates",
     "interior_lattice",
-    "check_range",
-    "check_seed_count",
     "portrait",
     "RESIDUAL_BOUND",
     "VERTEX_LABEL_TOL",
@@ -344,8 +342,14 @@ def _mutation_candidates(game_flow: Flow) -> list[tuple[float, float, float]]:
 def _rest_points(params: GantanganParams, mu: float) -> list[tuple[float, float, float]]:
     """The stationary states of :func:`find_fixed_points`, as float triples
     in its order: the candidates, sorted by (x_alpha, x_beta) descending,
-    less those within ``DEDUP_RADIUS`` of one kept before and those whose
-    residual exceeds ``RESIDUAL_BOUND`` s. At mu = 0 this runs on floats alone."""
+    less those whose residual exceeds ``RESIDUAL_BOUND`` s. At mu = 0 this
+    runs on floats alone.
+
+    The candidates are already more than ``DEDUP_RADIUS`` apart in the max
+    norm, so none is merged here. At mu > 0 :func:`_mutation_candidates`
+    keeps only roots that far from every one kept before. At mu = 0 both
+    nonzero shares of an edge point exceed it (:func:`_edge_candidates`),
+    and every vertex and every other edge's point has a zero in one of them."""
     scaled = flow(params, mu)
     scale = scaled.rows[0][0]  # max|payoff| = n (p_es + m_ss)
     if scaled.mu == 0.0:
@@ -355,15 +359,8 @@ def _rest_points(params: GantanganParams, mu: float) -> list[tuple[float, float,
         unit = tuple(tuple(v / scale for v in row) for row in scaled.rows)
         candidates = _mutation_candidates(Flow(unit, scaled.mu))
     candidates.sort(key=lambda x: (-x[0], -x[1]))
-    kept: list[tuple[float, float, float]] = []
-    for x in candidates:
-        if any(max(abs(x[0] - y[0]), abs(x[1] - y[1]), abs(x[2] - y[2])) <= DEDUP_RADIUS
-               for y in kept):
-            continue
-        if not max(map(abs, scaled.velocity(*x))) / scale <= RESIDUAL_BOUND:
-            continue
-        kept.append(x)
-    return kept
+    return [x for x in candidates
+            if max(map(abs, scaled.velocity(*x))) / scale <= RESIDUAL_BOUND]
 
 
 def find_fixed_points(params: GantanganParams, mu: float = 0.0) -> list[FixedPointReport]:

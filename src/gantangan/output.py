@@ -122,6 +122,14 @@ def _trajectory_blocks(traj: Trajectory, *lead: int) -> Iterator[list[tuple]]:
         yield [(*lead, *row) for row in table[start:start + _BLOCK_ROWS].tolist()]
 
 
+def _check_rows(traj: Trajectory) -> None:
+    """Reject a trajectory that stores fewer states than its ``len()`` counts
+    (a run with ``keep_states=False``): it has no rows to print."""
+    if len(traj.states) < len(traj):
+        raise ValueError(f"a trajectory of {len(traj)} states that holds only its last "
+                         "(keep_states=False) cannot be written as a run")
+
+
 def _run_head(traj: Trajectory) -> dict:
     params = traj.params
     return {
@@ -133,6 +141,7 @@ def _run_head(traj: Trajectory) -> dict:
 
 def emit_trajectory(traj: Trajectory, fmt: str = "csv", out: str = "-") -> None:
     """Serialize one trajectory; CSV rows are ordered by time."""
+    _check_rows(traj)
     _emit(out, fmt, _TRAJECTORY, _trajectory_blocks(traj), _run_head(traj), "points")
 
 
@@ -175,6 +184,8 @@ def _portrait_array(trajectories: list[Trajectory]) -> Iterator[str]:
 
 def emit_portrait(trajectories: list[Trajectory], fmt: str = "csv", out: str = "-") -> None:
     """Serialize a trajectory bundle with a leading seed index column."""
+    for traj in trajectories:
+        _check_rows(traj)
     if fmt == "csv":
         blocks = (b for seed, traj in enumerate(trajectories)
                   for b in _trajectory_blocks(traj, seed))

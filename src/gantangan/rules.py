@@ -2,7 +2,7 @@
 
 Each rule raises a ValueError with the library's message for a rejected
 input. The constructors and functions that take these inputs call them:
-``GantanganParams`` (:func:`positive_params`), ``MutationKernel`` and ``flow``
+``GantanganParams`` (:func:`positive_params`), ``uniform_kernel`` and ``flow``
 (:func:`check_mu`), ``flow`` (:func:`check_payoff_scale`), ``PopulationState``
 and each row of a ``Trajectory`` (:func:`frequency_sum`), ``integrate``
 (:func:`horizon_steps`), ``sweep`` (:func:`check_range`) and

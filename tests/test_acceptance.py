@@ -25,13 +25,13 @@ from gantangan import (
     Stability,
     Strategy,
     build_payoff,
-    derivative,
     find_fixed_points,
     integrate,
     sweep,
     uniform_kernel,
 )
 from gantangan.cli import EXIT_OK, main
+from gantangan.dynamics import flow
 
 from reference import direct_velocity, scan_stationary_count
 
@@ -67,10 +67,9 @@ def test_criterion_01_simplex_conservation():
         traj = integrate(x0, params, mu, dt=0.01, t_end=2.0)
         ok &= bool(np.all(traj.states >= 0.0))
         ok &= bool(np.max(np.abs(traj.states.sum(axis=1) - 1.0)) <= 1e-9)
-        payoff = build_payoff(params)
-        kernel = uniform_kernel(mu)
+        velocity = flow(params, mu).velocity
         for row in traj.states:
-            ok &= abs(float(derivative(PopulationState(row), payoff, kernel).sum())) <= 1e-12
+            ok &= abs(sum(velocity(*PopulationState(row).shares))) <= 1e-12
     _report(1, "simplex conservation", ok, time.perf_counter() - start, 10.0)
 
 
@@ -79,9 +78,9 @@ def test_criterion_02_vertex_rest_points():
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(50):
-        payoff = build_payoff(_random_params(rng))
+        velocity = flow(_random_params(rng), 0.0).velocity
         for s in Strategy:
-            residual = float(np.max(np.abs(derivative(PopulationState.vertex(s), payoff))))
+            residual = max(map(abs, velocity(*PopulationState.vertex(s).shares)))
             worst = max(worst, residual)
     _report(2, "vertex rest points", worst <= 1e-12, time.perf_counter() - start, 1.0,
             f"worst residual {worst:.1e}")
@@ -189,11 +188,11 @@ def test_criterion_08_oracle_agreement():
     worst = 0.0
     for _ in range(1000):
         params = _random_params(rng)
-        kernel = uniform_kernel(rng.uniform(0.0, 0.9))
+        mu = rng.uniform(0.0, 0.9)
         state = PopulationState(rng.dirichlet(np.ones(3)))
         payoff = build_payoff(params)
-        got = derivative(state, payoff, kernel)
-        want = direct_velocity(state.x.tolist(), payoff.tolist(), kernel.q.tolist())
+        got = np.array(flow(params, mu).velocity(*state.shares))
+        want = direct_velocity(state.x.tolist(), payoff.tolist(), uniform_kernel(mu).q.tolist())
         worst = max(worst, float(np.max(np.abs(got - np.asarray(want)))))
     _report(8, "oracle agreement", worst <= 1e-12, time.perf_counter() - start, 2.0,
             f"worst gap {worst:.1e}")

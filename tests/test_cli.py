@@ -35,6 +35,7 @@ from gantangan.cli import (
     EXIT_USAGE,
     RunConfig,
     emit_equilibria,
+    emit_portrait,
     emit_sweep,
     emit_trajectory,
     main,
@@ -393,6 +394,20 @@ def test_trajectory_negative_zero_prints_as_zero(tmp_path):
         {"t": 0.0, "x_alpha": 1.0, "x_beta": 0.0, "x_gamma": 0.0, "u": 0.0, "v": 0.0, "phi": 3.0}
     ]
     assert "-0" not in _read(out)
+
+
+def test_emitters_reject_an_endpoint_trajectory(tmp_path):
+    # A run with keep_states=False holds one row of its len() of 11; printing
+    # that row as the whole run would misreport it.
+    args = (PopulationState.uniform(), GantanganParams(2, 1, 1), 0.0, 0.01, 0.1)
+    end, full = integrate(*args, keep_states=False), integrate(*args)
+    out = tmp_path / "traj.out"
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match=r"11 states .*keep_states=False"):
+            emit_trajectory(end, fmt, str(out))
+        with pytest.raises(ValueError, match=r"11 states .*keep_states=False"):
+            emit_portrait([full, end], fmt, str(out))
+    assert not out.exists()
 
 
 def test_long_trajectory_json_matches_json_dumps(tmp_path):
@@ -809,6 +824,26 @@ def test_horizon_off_the_step_grid_is_domain_error(capsys):
     argv = ["simulate", "--p-es", "2", "--m-ss", "1", "--t-end", "0.015", "--dt", "0.01"]
     assert main(argv) == EXIT_DOMAIN
     assert "--dt/--t-end" in capsys.readouterr().err
+
+
+# --------------------------------------------------------- package exports
+
+
+def test_every_export_resolves_and_is_in_its_modules_all():
+    # Exports resolve on first access only, so a stale entry would otherwise
+    # fail on a user's first use of it.
+    import importlib
+
+    import gantangan
+
+    for name, module in gantangan._EXPORTS.items():
+        mod = importlib.import_module(f"gantangan.{module}")
+        assert name in mod.__all__, (module, name)
+        assert getattr(gantangan, name) is getattr(mod, name)
+    for module in gantangan._SUBMODULES:
+        mod = importlib.import_module(f"gantangan.{module}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, (module, missing)
 
 
 # ---------------------------------------------------- numpy off the start-up path

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from gantangan import (
     GantanganParams,
-    MutationKernel,
     PopulationState,
     StepSizeError,
     Strategy,
     Trajectory,
     build_payoff,
-    derivative,
     integrate,
     replicator_field,
     replicator_mutator_field,
@@ -69,34 +67,28 @@ def test_kernel_names_out_of_range_mu():
         uniform_kernel(1.5)
 
 
-def test_mutation_kernel_validation():
-    with pytest.raises(ValueError):
-        MutationKernel(np.array([[0.5, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.1)
-    with pytest.raises(ValueError):
-        MutationKernel(np.array([[1.5, -0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.1)
-    with pytest.raises(ValueError):
-        MutationKernel(np.eye(3), -0.1)
+# --------------------------------------------------------------- velocity
 
 
-# ------------------------------------------------------------- derivative
+def _velocity(params: GantanganParams, mu: float, state: PopulationState) -> np.ndarray:
+    """The time derivative of the frequencies at ``state``: the engine's field,
+    ``flow(params, mu).velocity``."""
+    return np.array(flow(params, mu).velocity(*state.shares))
 
 
 def test_vertices_are_replicator_rest_points():
-    a = build_payoff(GantanganParams(2, 1, 1))
     for s in Strategy:
-        d = derivative(PopulationState.vertex(s), a)
+        d = _velocity(GantanganParams(2, 1, 1), 0.0, PopulationState.vertex(s))
         assert np.array_equal(d, np.zeros(3))
 
 
 def test_derivative_uniform_hand_value():
-    a = build_payoff(GantanganParams(2, 1, 1))
-    d = derivative(PopulationState.uniform(), a)
+    d = _velocity(GantanganParams(2, 1, 1), 0.0, PopulationState.uniform())
     assert np.allclose(d, [1.0 / 6.0, -1.0 / 18.0, -1.0 / 9.0], rtol=0.0, atol=1e-15)
 
 
 def test_derivative_mutation_pulls_mass_off_vertex():
-    a = build_payoff(GantanganParams(2, 1, 1))
-    d = derivative(PopulationState.vertex(Strategy.ALPHA), a, uniform_kernel(0.3))
+    d = _velocity(GantanganParams(2, 1, 1), 0.3, PopulationState.vertex(Strategy.ALPHA))
     assert np.allclose(d, [-0.9, 0.45, 0.45], rtol=0.0, atol=1e-15)
     assert d[0] < 0.0 and d[1] == d[2] > 0.0
     assert abs(d.sum()) <= 1e-15
@@ -105,9 +97,9 @@ def test_derivative_mutation_pulls_mass_off_vertex():
 def test_derivative_components_sum_to_zero():
     rng = np.random.default_rng(21)
     for _ in range(200):
-        a = build_payoff(_random_params(rng))
-        kernel = uniform_kernel(rng.uniform(0.0, 0.9))
-        d = derivative(_random_state(rng), a, kernel)
+        params = _random_params(rng)
+        mu = rng.uniform(0.0, 0.9)
+        d = _velocity(params, mu, _random_state(rng))
         assert abs(d.sum()) <= 1e-12
 
 
@@ -125,27 +117,27 @@ def test_identity_kernel_matches_replicator_path():
 def test_derivative_matches_direct_transcription():
     rng = np.random.default_rng(23)
     for _ in range(300):
-        a = build_payoff(_random_params(rng))
-        kernel = uniform_kernel(rng.uniform(0.0, 0.9))
+        params = _random_params(rng)
+        mu = rng.uniform(0.0, 0.9)
         state = _random_state(rng)
-        expected = direct_velocity(state.x.tolist(), a.tolist(), kernel.q.tolist())
-        assert np.max(np.abs(derivative(state, a, kernel) - expected)) <= 1e-12
+        a = build_payoff(params)
+        expected = direct_velocity(state.x.tolist(), a.tolist(), uniform_kernel(mu).q.tolist())
+        assert np.max(np.abs(_velocity(params, mu, state) - expected)) <= 1e-12
 
 
 def test_integrator_field_matches_oracle_and_numpy_field():
     # Criterion 8's draws, run through the float field that integrate steps with.
     rng = np.random.default_rng(108)
-    eye = np.eye(3).tolist()
     for _ in range(1000):
         a = build_payoff(_random_params(rng))
-        kernel = uniform_kernel(rng.uniform(0.0, 0.9))
+        rate = rng.uniform(0.0, 0.9)
         x = PopulationState(rng.dirichlet(np.ones(3))).x
-        for q, numpy_field in (
-            (kernel.q, replicator_mutator_field(x, a, kernel.q)),
-            (None, replicator_field(x, a)),
+        for mu, numpy_field in (
+            (rate, replicator_mutator_field(x, a, uniform_kernel(rate).q)),
+            (0.0, replicator_field(x, a)),
         ):
-            got = np.array(_scalar_field(a, q)(*x.tolist()))
-            want = direct_velocity(x.tolist(), a.tolist(), eye if q is None else q.tolist())
+            got = np.array(_scalar_field(a.tolist(), mu)(*x.tolist()))
+            want = direct_velocity(x.tolist(), a.tolist(), uniform_kernel(mu).q.tolist())
             assert np.max(np.abs(got - want)) <= 1e-12
             # The numpy products may round in another order. Rounding scales
             # with the fitness terms, not the field, which cancels near rest
@@ -475,6 +467,17 @@ def test_endpoint_run_is_the_full_runs_last_state(p, m, mu, weights, dt, dt_big,
     assert end.times.tobytes() == full.times[-1:].tobytes()
 
 
+def test_endpoint_run_has_only_its_last_state():
+    args = (PopulationState.uniform(), GantanganParams(2, 1, 1), 0.0, 0.01, 1.0)
+    end, full = integrate(*args, keep_states=False), integrate(*args)
+    assert len(end) == len(full) == 101
+    for k in (-1, 100):
+        assert end.state(k).shares == full.state(k).shares == full.final.shares
+    for k in (0, 1, 99, 101, -2):
+        with pytest.raises(IndexError, match=f"^state {k}: .*keep_states=False"):
+            end.state(k)
+
+
 def test_endpoint_run_memory_does_not_grow_with_the_horizon():
     args = (PopulationState.uniform(), GantanganParams(2, 1, 1), 0.0, 0.01, 100.0)
     integrate(*args, keep_states=False)  # builds and caches the flow
@@ -600,14 +603,6 @@ def test_trajectory_rejects_bad_rows_and_a_dt_off_the_spacing():
     # The grid integrate writes, k * dt, is spaced dt apart within rounding.
     times = 0.01 * np.arange(100_001)
     Trajectory(times, np.tile([1.0, 0.0, 0.0], (times.size, 1)), params, 0.0, 0.01)
-
-
-def test_derivative_rejects_bad_payoff():
-    bad = np.full((3, 3), np.nan)
-    with pytest.raises(ValueError):
-        derivative(PopulationState.uniform(), bad)
-    with pytest.raises(ValueError):
-        derivative(PopulationState.uniform(), np.ones((2, 2)))
 
 
 def test_phi_nondecreasing_for_symmetric_payoffs():

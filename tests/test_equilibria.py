@@ -254,6 +254,26 @@ def test_vertices_are_rest_points_without_mutation(p, m, n):
 
 
 @settings(max_examples=100, deadline=None, database=None)
+@given(
+    p=st.floats(0.05, 20.0),
+    m=st.floats(0.05, 20.0),
+    # Half of the draws put m at or near p, where rest points crowd a vertex.
+    near=st.one_of(st.none(), st.floats(-1e-6, 1e-6)),
+    n=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    mu=st.one_of(st.just(0.0), st.floats(-14.0, -0.2).map(lambda e: 10.0 ** e)),
+)
+@example(p=1.0, m=1.000001, near=None, n=1.0, mu=0.0)
+@example(p=2.0, m=2.0, near=None, n=1.0, mu=0.031)
+def test_listed_points_are_more_than_the_dedup_radius_apart(p, m, near, n, mu):
+    # _rest_points merges no candidates: they arrive this far apart already.
+    m = m if near is None else p * (1.0 + near)
+    points = [r.state.x for r in find_fixed_points(GantanganParams(p, m, n), mu)]
+    for i, x in enumerate(points):
+        for y in points[:i]:
+            assert np.max(np.abs(x - y)) > equilibria_module.DEDUP_RADIUS
+
+
+@settings(max_examples=100, deadline=None, database=None)
 @given(p=st.floats(0.05, 20.0), m=st.floats(0.05, 20.0))
 def test_no_interior_point_has_equal_fitness(p, m):
     # Why find_fixed_points looks for no interior rest point without mutation:

@@ -87,6 +87,13 @@ def test_fitness_matches_direct_loops():
         assert np.allclose(fitness(state, a), expected, rtol=0.0, atol=1e-12)
 
 
+def test_fitness_rejects_bad_payoff():
+    with pytest.raises(ValueError, match="entries must be finite"):
+        fitness(PopulationState.uniform(), np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="must be 3x3"):
+        fitness(PopulationState.uniform(), np.ones((2, 2)))
+
+
 def test_fitness_linear_in_state():
     rng = np.random.default_rng(15)
     for _ in range(50):
