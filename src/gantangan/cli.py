@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
 Parsing and validation use the library's rules on floats (:mod:`gantangan.rules`)
 and load neither numpy nor dataclasses; a command imports the modules that
 compute, and with them dataclasses, when it runs. Those modules import numpy
-where they build arrays, which a sweep at mu = 0 never does.
+where they build arrays, which ``simulate``, ``portrait`` and a sweep at
+mu = 0 never do.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def _run(cfg: RunConfig) -> None:
-    # The modules that compute, and numpy with them, load only here.
+    # The modules that compute load only here, and numpy only where they build arrays.
     from .dynamics import integrate
     from .equilibria import find_fixed_points, portrait, sweep
     from .game import GantanganParams, PopulationState
@@ -320,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except MemoryError as exc:  # e.g. a horizon whose state array numpy cannot allocate
+    except MemoryError as exc:  # e.g. a horizon whose states would not fit in memory
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK

@@ -16,17 +16,22 @@ kernel picked at run time. Its loop carries the field inline: a step costs about
 on numpy 3-vectors (CPython 3.11 on a 2-core Xeon), and about 1.8 times as
 much at a state with a subnormal share.
 
-The flow and the endpoint of a run live on Python floats too: :func:`flow`
-holds the game as rows of floats, and a run that keeps only its endpoint
-writes into three floats of an ``array('d')``. numpy is imported by the
-functions that build arrays (a kept run's states, ``Flow.payoff``,
-``Flow.kernel``, ``Flow.jacobian``, a trajectory's ``times`` and ``states``),
-when they first run, so a run that keeps only its endpoint does not load it.
+The flow and every run live on Python floats too: :func:`flow` holds the
+game as rows of floats, and a run writes its states into an ``array('d')``,
+three floats a state, that grows with the run (a run that keeps only its
+endpoint overwrites the same three). A trajectory's ``times`` and
+``states`` are numpy arrays built on first access, ``states`` a zero-copy
+view of those floats; the CLI's writers read the floats themselves, and
+:func:`trajectory_phi` computes phi on them. numpy is imported by the
+functions that build arrays (``Flow.payoff``, ``Flow.kernel``,
+``Flow.jacobian``, a trajectory's ``times``, ``states`` and phi), when they
+first run, so ``simulate``, ``portrait`` and a sweep at mu = 0 do not load it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -183,13 +188,15 @@ class Trajectory:
 
     ``times`` has shape (k,), finite and strictly increasing with spacing
     ``dt``; ``states`` has shape (k, 3) with one simplex point per row. Both
-    arrays are read-only; values are safe to share between threads.
-    ``steps`` counts the steps of the run and ``len()`` is ``steps + 1``, its
-    number of states. An endpoint trajectory (``integrate(...,
-    keep_states=False)``) holds only the last state, as three floats, so
-    k = 1 and its arrays are built on first access, while ``steps`` and
-    ``len()`` still count the whole run; its ``state(k)`` raises IndexError
-    for every k but the last. ``final`` reads the last state's floats.
+    arrays are read-only and built on first access; values are safe to share
+    between threads. ``steps`` counts the steps of the run and ``len()`` is
+    ``steps + 1``, its number of states. The stored states are floats, three
+    a state, in an ``array('d')`` of which ``states`` is a zero-copy view; a
+    run's state k lies at time k * dt. An endpoint trajectory
+    (``integrate(..., keep_states=False)``) stores only the last state, so
+    k = 1, while ``steps`` and ``len()`` still count the whole run; its
+    ``state(k)`` raises IndexError for every k but the last. ``final`` reads
+    the last state's floats.
     """
 
     params: GantanganParams
@@ -215,56 +222,60 @@ class Trajectory:
         # Written as accepting tests, so that a NaN time or dt fails them.
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)):
             raise ValueError("times must be finite and strictly increasing")
-        rows = states.tolist()
-        for row in rows:
+        for row in states.tolist():
             frequency_sum(row)
         if not (0.0 < dt < float("inf")
                 and np.all(np.abs(np.diff(times) - dt) <= SPACING_TOL * dt)):
             raise ValueError(f"dt must be positive and the spacing of times, got dt={dt!r}")
-        self._fill(params, mu, dt, times.size - 1, tuple(rows[-1]),
-                   times=_read_only(times), states=_read_only(states))
+        self._fill(params, mu, dt, times.size - 1, array("d", states.tobytes()), times.tolist())
 
     @classmethod
     def _adopt(cls, params: GantanganParams, mu: float, dt: float, steps: int,
-               end: tuple[float, float, float], **arrays: np.ndarray) -> Trajectory:
-        """The trajectory of a run of ``steps`` steps that ended at ``end``,
-        holding ``times`` and ``states`` themselves, made read-only, if given.
-        Only for values that :func:`integrate` built on its grid and that
-        nothing else refers to: they skip the copies and checks of the
-        constructor."""
+               flat: array) -> Trajectory:
+        """The trajectory of a run of ``steps`` steps whose last ``len(flat) // 3``
+        states are the floats of ``flat``, held uncopied. Only for a buffer
+        that :func:`integrate` filled and that nothing else refers to: it
+        skips the copies and checks of the constructor."""
         traj = object.__new__(cls)
-        traj._fill(params, mu, dt, steps, end,
-                   **{name: _read_only(a) for name, a in arrays.items()})
+        traj._fill(params, mu, dt, steps, flat, None)
         return traj
 
-    def _fill(self, params, mu, dt, steps, end, **arrays) -> None:
-        vars(self).update(params=params, mu=mu, dt=dt, steps=steps, _end=end, **arrays)
+    def _fill(self, params, mu, dt, steps, flat, times) -> None:
+        # _flat holds the stored states' floats; _times the constructor's
+        # times as floats, or None for a run, whose state k lies at k * dt.
+        vars(self).update(params=params, mu=mu, dt=dt, steps=steps, _flat=flat, _times=times)
 
-    # An instance that was given its arrays holds them in its __dict__, which
-    # these two never reach; they build an endpoint trajectory's arrays.
     @functools.cached_property
     def times(self) -> np.ndarray:
         import numpy as np
 
-        return _read_only(np.array([self.steps * self.dt]))
+        if self._times is not None:
+            return _read_only(np.array(self._times))
+        # Scaled in place: dt * np.arange(...) would first build an int64
+        # array as large as the result.
+        times = np.arange(len(self) - len(self._flat) // 3, len(self), dtype=float)
+        times *= self.dt
+        return _read_only(times)
 
     @functools.cached_property
     def states(self) -> np.ndarray:
         import numpy as np
 
-        return _read_only(np.array([self._end]))
+        return _read_only(np.frombuffer(self._flat).reshape(-1, 3))
 
     def __len__(self) -> int:
         return self.steps + 1
 
     def state(self, k: int) -> PopulationState:
-        if len(self.states) < len(self) and k not in (-1, self.steps):
+        if len(self._flat) == 3 * len(self):
+            return PopulationState(self.states[k])
+        if k not in (-1, self.steps):
             raise IndexError(f"state {k}: a run with keep_states=False holds only its last state")
-        return PopulationState(self.states[k]) if len(self.states) == len(self) else self.final
+        return self.final
 
     @property
     def final(self) -> PopulationState:
-        return PopulationState(self._end)
+        return PopulationState(self._flat[-3:].tolist())
 
 
 def _scalar_field(payoff, mu):
@@ -328,9 +339,12 @@ def integrate(
     The steps run on Python floats, with the field of :attr:`Flow.velocity`
     written into each stage (same operations, same order, so the same
     states), and do not depend on the BLAS kernel numpy picks for 3x3
-    products. The trajectory of a run to ``t_end`` holds the array the loop
-    filled, uncopied; a run that stops early holds a copy of its rows, so
-    that it does not keep the horizon's buffer alive.
+    products. The states go into an ``array('d')`` that grows with the run,
+    at most to the horizon's size; the trajectory of a run to ``t_end`` holds
+    that buffer, uncopied, and a run that stops early holds a copy of its
+    rows, so that it does not keep the larger buffer alive. A horizon whose
+    states would not fit in the machine's memory raises MemoryError before
+    the first step.
 
     With ``keep_states=False`` the loop writes every state into the same
     three floats, and the trajectory holds only the last state and its time,
@@ -339,31 +353,35 @@ def integrate(
     """
     n_steps = horizon_steps(dt, t_end)
     game = flow(params, mu)
+    if keep_states and 24 * (n_steps + 1) > _memory_bytes():
+        raise MemoryError(f"keeping the {n_steps + 1} states of the run takes "
+                          f"{24 * (n_steps + 1)} bytes, more than this machine has")
     # No velocity is below -1, so without converge_tol the run never stops early.
     stop = -1.0 if converge_tol is None else converge_tol
     # State k goes to out[stride * k:]; with stride 0 each state overwrites the last.
-    if keep_states:
-        import numpy as np
-
-        stride, states = 3, np.empty((n_steps + 1, 3))
-        out = memoryview(states.reshape(-1))
-    else:
-        stride, out = 0, array("d", x0.shares)
+    stride, out = (3 if keep_states else 0), array("d", x0.shares)
     if game.mu == 0.0:
         last = _replicator_steps(out, x0.shares, game.rows, dt, n_steps, stop, stride)
     else:
         last = _mutator_steps(out, x0.shares, game.rows, game.mu, dt, n_steps, stop, stride)
-    i = stride * last
-    end = (out[i], out[i + 1], out[i + 2])
-    if not keep_states:
-        return Trajectory._adopt(params, float(mu), float(dt), last, end)
-    out.release()
-    states = states if last == n_steps else states[: last + 1].copy()
-    # Scaled in place: dt * np.arange(last + 1) would first build an int64
-    # array as large as the result.
-    times = np.arange(last + 1, dtype=float)
-    times *= dt
-    return Trajectory._adopt(params, float(mu), float(dt), last, end, times=times, states=states)
+    if len(out) > stride * last + 3:  # a run that stopped early keeps a copy of its rows
+        out = out[: stride * last + 3]
+    return Trajectory._adopt(params, float(mu), float(dt), last, out)
+
+
+def _memory_bytes() -> float:
+    """The machine's physical memory in bytes, or infinity where the platform
+    does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
+def _grow(out: array, size: int) -> None:
+    """Double the floats of ``out``, a kept run's full buffer, but to no more
+    than ``size``, with zeros that the next states overwrite."""
+    out.frombytes(bytes(8 * min(len(out), size - len(out))))
 
 
 # The two loops below are one RK4 scheme: stages, simplex check, projection,
@@ -378,9 +396,10 @@ def integrate(
 
 def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
     """RK4 steps of the replicator form x_i (f_i - phi) from ``x``, state k
-    written into the three floats of ``out`` from ``stride * k`` on (state 0
-    is ``x``): stride 3 keeps every state, 0 only the last. Returns the index
-    of the last state written."""
+    written into the three floats of the ``array('d')`` ``out`` from
+    ``stride * k`` on (state 0 is ``x``): stride 0 keeps only the last state,
+    and stride 3 every state, ``out`` growing as they fill it (:func:`_grow`).
+    Returns the index of the last state written."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
     tol = SIMPLEX_STEP_TOL
     low = -tol
@@ -429,7 +448,11 @@ def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
         b /= s
         c /= s
         i = stride * k
-        out[i], out[i + 1], out[i + 2] = a, b, c
+        try:
+            out[i], out[i + 1], out[i + 2] = a, b, c
+        except IndexError:  # a kept run's buffer is full
+            _grow(out, 3 * n_steps + 3)
+            out[i], out[i + 1], out[i + 2] = a, b, c
         f0 = a00 * a + a01 * b + a02 * c
         f1 = a10 * a + a11 * b + a12 * c
         f2 = a20 * a + a21 * b + a22 * c
@@ -496,7 +519,11 @@ def _mutator_steps(out, x, payoff, mu, dt, n_steps, stop, stride) -> int:
         b /= s
         c /= s
         i = stride * k
-        out[i], out[i + 1], out[i + 2] = a, b, c
+        try:
+            out[i], out[i + 1], out[i + 2] = a, b, c
+        except IndexError:  # a kept run's buffer is full
+            _grow(out, 3 * n_steps + 3)
+            out[i], out[i + 1], out[i + 2] = a, b, c
         g0 = a * (a00 * a + a01 * b + a02 * c)
         g1 = b * (a10 * a + a11 * b + a12 * c)
         g2 = c * (a20 * a + a21 * b + a22 * c)
@@ -510,8 +537,18 @@ def _mutator_steps(out, x, payoff, mu, dt, n_steps, stop, stride) -> int:
 
 
 def trajectory_phi(traj: Trajectory) -> np.ndarray:
-    """Average fitness phi at every stored state of a trajectory."""
+    """Average fitness phi at every stored state of a trajectory, on floats
+    (:func:`_phis`): the phi that the trajectory writers print."""
     import numpy as np
 
-    f = traj.states @ flow(traj.params, traj.mu).payoff.T
-    return np.einsum("ij,ij->i", traj.states, f)
+    return np.array(_phis(flow(traj.params, traj.mu).rows, traj._flat))
+
+
+def _phis(payoff, flat) -> list[float]:
+    """phi = x0 f0 + x1 f1 + x2 f2 with f_i = a_i0 x0 + a_i1 x1 + a_i2 x2, each
+    sum left to right, from the rows of ``payoff``, at each state of the
+    floats ``flat``, three a state."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
+    it = iter(flat)
+    return [a * (a00 * a + a01 * b + a02 * c) + b * (a10 * a + a11 * b + a12 * c)
+            + c * (a20 * a + a21 * b + a22 * c) for a, b, c in zip(it, it, it)]

@@ -11,10 +11,12 @@ may be evaluated in parallel, with results always reported in input order.
 
 The rest-point search (:func:`_rest_points`) runs on Python floats: at
 mu = 0 it needs no numpy, while at mu > 0 its seeds come from ``np.roots``.
-Classification, on the Jacobian, and the ternary projection use numpy,
-imported by the functions that build arrays when they first run. A sweep
-at mu = 0 integrates, counts rest points and labels its cells on floats, so
-it does not load numpy.
+Classification, on the Jacobian, and the ternary projection of arrays
+(:func:`ternary_coordinates`) use numpy, imported by the functions that
+build arrays when they first run; the trajectory writers compute the same
+(u, v) on floats. A sweep at mu = 0 integrates, counts rest points and
+labels its cells on floats, and :func:`portrait` integrates on floats, so
+neither loads numpy.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ label as its text. CSV writes these lines under a header of the column
 names. JSON splits a line into its cells and writes each cell's JSON text
 into records laid out as ``json.dumps(indent=2)`` lays them out, so that
 both formats carry the same rounded values. Output is written as it is
-formatted. numpy is imported only to lay out trajectory rows, so that a
-sweep or a listing is written on the standard library.
+formatted. Every writer runs on the standard library: a trajectory's rows
+are computed on floats from the states its run stored, t = k dt, the
+ternary (u, v) and phi (:func:`~gantangan.dynamics.trajectory_phi`'s
+formula), so no command's output passes through numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import json
 import sys
 from collections.abc import Iterable, Iterator
 
-from .dynamics import Trajectory, trajectory_phi
-from .equilibria import FixedPointReport, SweepCell, ternary_coordinates
+from .dynamics import Trajectory, _phis, flow
+from .equilibria import _SQRT3_2, FixedPointReport, SweepCell
 
 __all__ = ["emit_trajectory", "emit_equilibria", "emit_sweep", "emit_portrait"]
 
@@ -111,21 +113,23 @@ def _emit(out: str, fmt: str, schema: dict, blocks: Iterable[list[tuple]], head:
 
 def _trajectory_blocks(traj: Trajectory, *lead: int) -> Iterator[list[tuple]]:
     """Rows of ``_TRAJECTORY``, each led by ``lead``, in blocks of
-    ``_BLOCK_ROWS`` read from one (k, 7) table."""
-    import numpy as np
-
-    table = np.column_stack(
-        [traj.times, traj.states, ternary_coordinates(traj.states), trajectory_phi(traj)]
-    )
-    table += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
-    for start in range(0, len(table), _BLOCK_ROWS):
-        yield [(*lead, *row) for row in table[start:start + _BLOCK_ROWS].tolist()]
+    ``_BLOCK_ROWS``, computed on the floats of the stored states: t = k dt
+    (or the constructor's times), u = x_beta + x_gamma / 2, v = (sqrt(3)/2)
+    x_gamma and phi, each value + 0.0, which turns -0.0 into 0.0."""
+    payoff, flat, dt, given = flow(traj.params, traj.mu).rows, traj._flat, traj.dt, traj._times
+    for start in range(0, len(traj), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(traj))
+        block = flat[3 * start:3 * stop]
+        times = [k * dt for k in range(start, stop)] if given is None else given[start:stop]
+        it = iter(block)
+        yield [(*lead, t + 0.0, a + 0.0, b + 0.0, c + 0.0, b + 0.5 * c + 0.0, _SQRT3_2 * c + 0.0,
+                phi + 0.0) for t, a, b, c, phi in zip(times, it, it, it, _phis(payoff, block))]
 
 
 def _check_rows(traj: Trajectory) -> None:
     """Reject a trajectory that stores fewer states than its ``len()`` counts
     (a run with ``keep_states=False``): it has no rows to print."""
-    if len(traj.states) < len(traj):
+    if len(traj._flat) < 3 * len(traj):
         raise ValueError(f"a trajectory of {len(traj)} states that holds only its last "
                          "(keep_states=False) cannot be written as a run")
 

@@ -396,6 +396,37 @@ def test_trajectory_negative_zero_prints_as_zero(tmp_path):
     assert "-0" not in _read(out)
 
 
+@pytest.mark.parametrize(
+    "times, states, dt",
+    [
+        ([0.3], [[0.2, 0.3, 0.5]], 0.25),
+        ([-0.0], [[1.0, -0.0, 0.0]], 0.01),
+        ([1.0, 1.25, 1.5000001], [[0.2, 0.3, 0.5], [0.25, 0.25, 0.5], [0.3, 0.3, 0.4]], 0.25),
+    ],
+)
+def test_constructed_trajectory_prints_its_own_times_and_states(tmp_path, times, states, dt):
+    # Times off the grid k * dt are printed as given; phi is x . (A x),
+    # summed left to right on floats.
+    params = GantanganParams(2, 1, 1)
+    traj = Trajectory(times, states, params, 0.01, dt)
+    rows = build_payoff(params).tolist()
+    expected = []
+    for t, x in zip(times, states):
+        f = [r[0] * x[0] + r[1] * x[1] + r[2] * x[2] for r in rows]
+        phi = x[0] * f[0] + x[1] * f[1] + x[2] * f[2]
+        u, v = x[1] + 0.5 * x[2], (3.0 ** 0.5 / 2.0) * x[2]
+        expected.append(",".join("%.9g" % (value + 0.0) for value in (t, *x, u, v, phi)))
+    out = tmp_path / "traj.out"
+    emit_trajectory(traj, "csv", str(out))
+    assert _read(out).splitlines()[1:] == expected
+    emit_trajectory(traj, "json", str(out))
+    keys = ["t", "x_alpha", "x_beta", "x_gamma", "u", "v", "phi"]
+    assert json.loads(_read(out))["points"] == [
+        dict(zip(keys, map(float, line.split(",")))) for line in expected]
+    emit_portrait([traj, traj], "csv", str(out))
+    assert _read(out).splitlines()[1:] == [f"{seed},{line}" for seed in (0, 1) for line in expected]
+
+
 def test_emitters_reject_an_endpoint_trajectory(tmp_path):
     # A run with keep_states=False holds one row of its len() of 11; printing
     # that row as the whole run would misreport it.
@@ -563,9 +594,9 @@ def test_overflowing_step_is_domain_error(capsys, argv):
     ],
 )
 def test_horizon_too_long_to_store_is_domain_error(capsys, argv):
-    # 1e14 steps need a 2.1 PiB state array, which numpy refuses without
-    # allocating it: the run fails before its first step, and the process's
-    # peak resident memory (KiB) does not grow.
+    # 1e14 steps need 2.1 PiB to keep their states, more than any machine
+    # has: the run fails before its first step, and the process's peak
+    # resident memory (KiB) does not grow.
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     code = main(argv)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024
@@ -933,6 +964,56 @@ def test_sweep_at_mu0_loads_no_numpy():
     golden = (DATA / "sweep_golden.json").read_text(encoding="utf-8")
     for (argv, is_golden), text in zip(_NUMPY_FREE_SWEEPS, result["outputs"]):
         assert (text == golden) == is_golden, argv
+
+
+# simulate and portrait, CSV and JSON, at mu = 0 and mu > 0, each with the
+# golden file whose bytes it prints, if any.
+_NUMPY_FREE_RUNS = [
+    (["simulate", "--p-es", "2", "--m-ss", "1", "--dt", "0.01", "--t-end", "1"],
+     "trajectory_golden.csv"),
+    (["simulate", "--p-es", "2", "--m-ss", "1", "--mu", "0.01", "--dt", "0.01", "--t-end", "1",
+      "--format", "json"], "simulate_mu_golden.json"),
+    (["simulate", "--p-es", "2", "--m-ss", "1", "--n", "1e9", "--dt", "1e-11", "--t-end", "1e-10",
+      "--format", "json"], "simulate_n1e9_golden.json"),
+    (["simulate", "--p-es", "1", "--m-ss", "2", "--mu", "0.05", "--t-end", "3"], None),
+    (["portrait", "--p-es", "2", "--m-ss", "1", "--seeds", "2", "--t-end", "0.5",
+      "--format", "json"], "portrait_golden.json"),
+    (["portrait", "--p-es", "2", "--m-ss", "1", "--seeds", "3", "--t-end", "2"], None),
+    (["portrait", "--p-es", "1", "--m-ss", "2", "--mu", "0.05", "--seeds", "3", "--t-end", "2"],
+     None),
+    (["portrait", "--p-es", "1", "--m-ss", "2", "--mu", "0.05", "--seeds", "3", "--t-end", "2",
+      "--format", "json"], None),
+]
+
+
+def test_simulate_and_portrait_load_no_numpy():
+    # A fresh interpreter, since this one has numpy loaded already.
+    script = """if True:
+        import json, sys
+        from gantangan.cli import main
+        codes, outputs = [], []
+        for argv in json.loads(sys.argv[1]):
+            codes.append(main(argv + ["--out", sys.argv[2]]))
+            assert "numpy" not in sys.modules, argv
+            with open(sys.argv[2], encoding="utf-8", newline="") as fh:
+                outputs.append(fh.read())
+        print(json.dumps({"codes": codes, "outputs": outputs}))
+    """
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([argv for argv, _ in _NUMPY_FREE_RUNS]),
+             os.path.join(tmp, "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [EXIT_OK] * len(_NUMPY_FREE_RUNS)
+    for (argv, golden), text in zip(_NUMPY_FREE_RUNS, result["outputs"]):
+        assert text, argv
+        if golden is not None:
+            assert text == (DATA / golden).read_text(encoding="utf-8"), argv
 
 
 def _verdict(rule, *args) -> str | None:

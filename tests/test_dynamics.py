@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gantangan import (
     uniform_kernel,
 )
 from gantangan import dynamics
+from gantangan.cli import emit_trajectory
 from gantangan.dynamics import (
     FLOW_CACHE_SIZE, SIMPLEX_STEP_TOL, _scalar_field, flow, horizon_steps,
 )
@@ -508,26 +510,49 @@ def test_capped_sweep_cell_endpoint():
 
 @pytest.mark.parametrize("mu", [0.0, 0.05])
 def test_integrate_hands_its_arrays_over_uncopied(monkeypatch, mu):
-    buffers = []
+    filled = []
 
     def spy(loop):
         def run(out, *args):
-            buffers.append(out.obj)
-            return loop(out, *args)
+            last = loop(out, *args)
+            filled.append((weakref.ref(out), len(out)))
+            return last
         return run
 
     for name in ("_replicator_steps", "_mutator_steps"):
         monkeypatch.setattr(dynamics, name, spy(getattr(dynamics, name)))
     full = integrate(PopulationState.uniform(), GantanganParams(2, 1, 1), mu, 0.01, 5.0)
-    assert len(buffers) == 1 and np.shares_memory(full.states, buffers[0])
+    # The states of a run to t_end are a view of the floats the loop filled.
+    assert len(filled) == 1 and np.shares_memory(full.states, np.frombuffer(filled[0][0]()))
     stopped = integrate(PopulationState.uniform(), GantanganParams(2, 1, 1), mu, 0.01, 500.0,
                         converge_tol=1e-4)
-    # A run that stops early keeps only its own rows.
-    assert len(stopped) < 50_001 and stopped.states.base is None
+    # A run that stops early keeps a copy of its own rows, and the larger
+    # buffer the loop grew is freed.
+    buffer, size = filled[1]
+    assert len(stopped) < 50_001 and size > 3 * len(stopped)
+    assert buffer() is None and len(stopped._flat) == 3 * len(stopped)
+    assert np.shares_memory(stopped.states, np.frombuffer(stopped._flat))
     for traj in (full, stopped):
         for array in (traj.times, traj.states):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_early_stopped_run_memory_follows_its_rows(mu):
+    # The run converges within a few thousand steps of its 10**6-step horizon:
+    # it allocates in proportion to the rows it keeps, where a buffer of the
+    # horizon's size would take 24 MB.
+    args = (PopulationState.uniform(), GantanganParams(2, 1, 1), mu, 0.01, 1e4)
+    integrate(*args, keep_states=False)  # builds and caches the flow
+    tracemalloc.start()
+    try:
+        traj = integrate(*args, converge_tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) < 5_000
+    assert peak < 4 * 24 * len(traj)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -556,6 +581,26 @@ def test_trajectory_copies_a_callers_arrays():
 
 
 # ---------------------------------------------------------- trajectory phi
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.03])
+def test_trajectory_phi_is_the_printed_float_formula(tmp_path, mu):
+    # phi = x0 f0 + x1 f1 + x2 f2 with f = A x, each sum left to right on
+    # floats: the value of every row, and the text of the printed column.
+    params = GantanganParams(2.5, 1.5, 1.2)
+    traj = integrate(PopulationState([0.2, 0.5, 0.3]), params, mu, 0.01, 6.0)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = build_payoff(params).tolist()
+    expected = [
+        x0 * (a00 * x0 + a01 * x1 + a02 * x2) + x1 * (a10 * x0 + a11 * x1 + a12 * x2)
+        + x2 * (a20 * x0 + a21 * x1 + a22 * x2)
+        for x0, x1, x2 in traj.states.tolist()
+    ]
+    phi = trajectory_phi(traj)
+    assert phi.dtype == float and phi.tobytes() == np.array(expected).tobytes()
+    out = tmp_path / "traj.csv"
+    emit_trajectory(traj, "csv", str(out))
+    printed = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+    assert printed == ["%.9g" % v for v in expected]
 
 
 def test_phi_constant_at_vertices():
