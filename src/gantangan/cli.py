@@ -10,9 +10,9 @@ Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
 
 Parsing and validation use the library's rules on floats (:mod:`gantangan.rules`)
 and load neither numpy nor dataclasses; a command imports the modules that
-compute, and with them dataclasses, when it runs. Those modules import numpy
-where they build arrays, which ``simulate``, ``portrait`` and a sweep at
-mu = 0 never do.
+compute when it runs. Their value classes are plain classes, so no command
+loads dataclasses, and they import numpy where they build arrays, which
+``simulate``, ``portrait`` and a sweep at mu = 0 never do.
 """
 
 from __future__ import annotations

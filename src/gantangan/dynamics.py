@@ -33,11 +33,9 @@ from __future__ import annotations
 import functools
 import os
 from array import array
-from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .game import GantanganParams, PopulationState, payoff_rows
+from .game import GantanganParams, PopulationState, _Record, payoff_rows
 from .rules import check_mu, check_payoff_scale, frequency_sum, horizon_steps
 
 if TYPE_CHECKING:
@@ -79,14 +77,16 @@ class StepSizeError(ValueError):
     """An integration step left the simplex beyond the projection tolerance."""
 
 
-@dataclass(frozen=True, eq=False)
-class MutationKernel:
+class MutationKernel(_Record):
     """The uniform kernel of :func:`uniform_kernel`: in the read-only 3x3
     ``q``, ``q[j, i]`` is the probability that a replicating j-strategist
     produces an i-strategist."""
 
     q: np.ndarray
     mu: float
+
+    def __init__(self, q: np.ndarray, mu: float) -> None:
+        vars(self).update(q=q, mu=mu)
 
 
 def uniform_kernel(mu: float) -> MutationKernel:
@@ -123,8 +123,7 @@ def replicator_mutator_field(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -
     return q.T @ (x * f) - x * (x @ f)
 
 
-@dataclass(frozen=True, eq=False)
-class Flow:
+class Flow(_Record):
     """The velocity field of one payoff matrix, given as three rows of
     floats, under the uniform kernel of ``mu``; ``velocity`` evaluates it on
     Python floats from the rows and ``mu`` (:func:`_scalar_field`). The
@@ -133,10 +132,9 @@ class Flow:
 
     rows: tuple[tuple[float, float, float], ...]
     mu: float
-    velocity: Callable = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "velocity", _scalar_field(self.rows, self.mu))
+    def __init__(self, rows: tuple[tuple[float, float, float], ...], mu: float) -> None:
+        vars(self).update(rows=rows, mu=mu, velocity=_scalar_field(rows, mu))
 
     @functools.cached_property
     def payoff(self) -> np.ndarray:
@@ -182,8 +180,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Trajectory:
+class Trajectory(_Record):
     """States of the flow on a uniform time grid.
 
     ``times`` has shape (k,), finite and strictly increasing with spacing

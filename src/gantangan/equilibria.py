@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dynamics import CONVERGENCE_RESIDUAL, Flow, Trajectory, flow, integrate
-from .game import GantanganParams, PopulationState
+from .game import GantanganParams, PopulationState, _Record
 from .rules import check_range, check_seed_count
 
 if TYPE_CHECKING:
@@ -106,8 +105,7 @@ class Location(Enum):
     INTERIOR = "INTERIOR"
 
 
-@dataclass(frozen=True, eq=False)
-class FixedPointReport:
+class FixedPointReport(_Record):
     """A stationary state with its tangent-plane spectrum and labels."""
 
     state: PopulationState
@@ -115,6 +113,12 @@ class FixedPointReport:
     eigenvalues: tuple[complex, complex]
     stability: Stability
     location: Location
+
+    def __init__(self, state: PopulationState, residual: float,
+                 eigenvalues: tuple[complex, complex], stability: Stability,
+                 location: Location) -> None:
+        vars(self).update(state=state, residual=residual, eigenvalues=eigenvalues,
+                          stability=stability, location=location)
 
 
 class TernaryPoint(NamedTuple):
@@ -131,8 +135,7 @@ class AttractorLabel(Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True, eq=False)
-class SweepCell:
+class SweepCell(_Record):
     """Outcome of one (p_es, m_ss) grid cell."""
 
     p_es: float
@@ -140,6 +143,11 @@ class SweepCell:
     attractor_label: AttractorLabel
     fixed_point_count: int
     endpoint: PopulationState
+
+    def __init__(self, p_es: float, m_ss: float, attractor_label: AttractorLabel,
+                 fixed_point_count: int, endpoint: PopulationState) -> None:
+        vars(self).update(p_es=p_es, m_ss=m_ss, attractor_label=attractor_label,
+                          fixed_point_count=fixed_point_count, endpoint=endpoint)
 
 
 def jacobian(state: PopulationState, params: GantanganParams, mu: float = 0.0) -> np.ndarray:

@@ -10,13 +10,14 @@ global scale factor ``n``.
 Everything in this module is a pure function of immutable values and is safe
 to call from any number of threads. States and payoffs are held as Python
 floats; numpy is imported by the functions that build arrays, when they
-first run.
+first run. The value classes of the computing modules are plain classes on
+:class:`_Record`, whose attributes the constructor sets once, so that no
+computing process imports ``dataclasses`` (and with it ``inspect``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING
 
@@ -55,8 +56,41 @@ class Strategy(IntEnum):
     GAMMA = 2  # abstain: take the gain, invest nothing
 
 
-@dataclass(frozen=True)
-class GantanganParams:
+class _Record:
+    """A record whose attributes, those annotated on its class, the
+    constructor sets once (through ``vars(self)``): assigning or deleting an
+    attribute raises AttributeError, and equality is identity. A
+    ``functools.cached_property`` still fills in on first access."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in type(self).__annotations__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(type(self).__annotations__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Value(_Record):
+    """A :class:`_Record` equal to a record of its own class whose attributes
+    are equal, and hashed by its attributes."""
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class GantanganParams(_Value):
     """Game parameters: economic return, social gain, and a scale factor.
 
     ``n`` multiplies every payoff uniformly; it only rescales time in the
@@ -65,12 +99,11 @@ class GantanganParams:
 
     p_es: float
     m_ss: float
-    n: float = 1.0
+    n: float
 
-    def __post_init__(self) -> None:
-        values = positive_params(self.p_es, self.m_ss, self.n)
-        for name, value in zip(("p_es", "m_ss", "n"), values):
-            object.__setattr__(self, name, value)
+    def __init__(self, p_es: float, m_ss: float, n: float = 1.0) -> None:
+        p_es, m_ss, n = positive_params(p_es, m_ss, n)
+        vars(self).update(p_es=p_es, m_ss=m_ss, n=n)
 
 
 def _three_floats(x) -> list[float]:
@@ -88,8 +121,7 @@ def _three_floats(x) -> list[float]:
     return a.tolist()
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class PopulationState:
+class PopulationState(_Record):
     """Strategy frequencies (x_alpha, x_beta, x_gamma) on the unit simplex.
 
     Construction accepts vectors whose sum deviates from 1 by at most
@@ -103,7 +135,7 @@ class PopulationState:
     def __init__(self, x) -> None:
         shares = _three_floats(x)
         total = frequency_sum(shares)
-        object.__setattr__(self, "shares", tuple([v / total for v in shares]))
+        vars(self)["shares"] = tuple([v / total for v in shares])
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -183,11 +215,13 @@ class DominanceKind(Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
-class DominanceRelation:
+class DominanceRelation(_Value):
     dominator: Strategy
     dominated: Strategy
     kind: DominanceKind
+
+    def __init__(self, dominator: Strategy, dominated: Strategy, kind: DominanceKind) -> None:
+        vars(self).update(dominator=dominator, dominated=dominated, kind=kind)
 
 
 def dominance(

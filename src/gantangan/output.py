@@ -1,21 +1,28 @@
 """CSV and JSON output of the four commands, from one row writer.
 
 Each command has one row schema, its columns in order with their kinds, and
-each row is formatted once with the schema's ``%`` template: a float to 9
+each format has one template per schema, filled once a row. CSV writes the
+``%`` line of a row under a header of the column names: a float to 9
 significant digits (``%.9g``, negative zero written as zero), an int or a
-label as its text. CSV writes these lines under a header of the column
-names. JSON splits a line into its cells and writes each cell's JSON text
-into records laid out as ``json.dumps(indent=2)`` lays them out, so that
-both formats carry the same rounded values. Output is written as it is
-formatted. Every writer runs on the standard library: a trajectory's rows
-are computed on floats from the states its run stored, t = k dt, the
-ternary (u, v) and phi (:func:`~gantangan.dynamics.trajectory_phi`'s
-formula), so no command's output passes through numpy.
+label as its text. JSON writes records laid out as ``json.dumps(indent=2)``
+lays them out, each from one ``str.format`` template whose float fields are
+``{:.9}``: that prints the same 9 digits as ``%.9g`` and, like ``repr``,
+``1.0`` for an integer value, so each cell is already the JSON text of the
+CSV cell's float. It differs only at exponents +08 to +15, which ``repr``
+writes without an exponent, and for subnormals, where 9 digits are more than
+the float holds; a block whose text has such an exponent has those numbers
+rewritten through the float (:func:`_repair`). Both formats carry the same
+rounded values. Output is written as it is formatted. Every writer runs on
+the standard library: a trajectory's rows are computed on floats from the
+states its run stored, t = k dt, the ternary (u, v) and phi
+(:func:`~gantangan.dynamics.trajectory_phi`'s formula), so no command's
+output passes through numpy.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -41,29 +48,30 @@ _SWEEP = dict(
 _BLOCK_ROWS = 512
 
 
-def _json_float(text: str) -> str:
-    """JSON text of a float cell whose CSV text is ``text``; equals
-    ``json.dumps(float(text))`` for every finite value.
+# Each kind's `%` format for CSV and `str.format` field for JSON. A label is
+# an enum value of capitals and underscores, which JSON quotes as it is.
+_KINDS = {float: ("%.9g", "{:.9}"), int: ("%d", "{:d}"), str: ("%s", '"{}"')}
 
-    Fixed notation with a point (exponent -4 to 8) is already the shortest
-    text that reads back as its float, which is what ``repr`` prints. An
-    integer value (``7``), an exponent of 9 to 15 (``1.23456789e+09``) and a
-    subnormal (``4.94065646e-322``) are not, so those go through the float.
-    """
-    return text if "." in text and "e" not in text else repr(float(text))
-
-
-# Each kind's `%` format, and the JSON text of a cell from its CSV text.
-_KINDS = {float: ("%.9g", _json_float), int: ("%d", str), str: ("%s", json.dumps)}
+# The exponents at which a `{:.9}` cell is not the JSON text of its float:
+# +08 to +15, where repr writes the digits out, and those of subnormals (every
+# exponent -3xx is matched; the normal ones come back unchanged).
+_ODD = r"e(?:\+(?:0[89]|1[0-5])(?!\d)|-3\d\d)"
+_ODD_EXPONENT = re.compile(_ODD)
+_ODD_NUMBER = re.compile(r"\d+(?:\.\d+)?" + _ODD)
 
 
-def _line(schema: dict) -> str:
-    return ",".join(_KINDS[kind][0] for kind in schema.values())
+def _repair(text: str) -> str:
+    """``text`` with each ``{:.9}`` number at an odd exponent replaced by
+    the float's ``repr``, which is ``json.dumps`` of it. One search tells
+    whether there is any; most blocks have none."""
+    if _ODD_EXPONENT.search(text) is None:
+        return text
+    return _ODD_NUMBER.sub(lambda m: repr(float(m.group())), text)
 
 
 def _csv(schema: dict, blocks: Iterable[list[tuple]]) -> Iterator[str]:
     yield ",".join(schema) + "\n"
-    line = _line(schema) + "\n"
+    line = ",".join(_KINDS[kind][0] for kind in schema.values()) + "\n"
     for rows in blocks:
         yield "".join([line % row for row in rows])
 
@@ -72,16 +80,12 @@ def _json_array(schema: dict, blocks: Iterable[list[tuple]], indent: str) -> Ite
     """A JSON array of one record per row, laid out as ``json.dumps(indent=2)``
     lays it out when its closing bracket sits at ``indent``."""
     item = indent + "  "
-    keys = ",\n".join(f"{item}  {json.dumps(c)}: %s" for c in schema)
-    record = f"{item}{{\n{keys}\n{item}}}"
-    line, cells = _line(schema), [_KINDS[kind][1] for kind in schema.values()]
+    keys = ",\n".join(f"{item}  {json.dumps(c)}: {_KINDS[kind][1]}" for c, kind in schema.items())
+    record = f"{item}{{{{\n{keys}\n{item}}}}}".format
     sep = "[\n"
     for rows in blocks:
         if rows:
-            yield sep + ",\n".join([
-                record % tuple([cell(text) for cell, text in zip(cells, (line % row).split(","))])
-                for row in rows
-            ])
+            yield sep + _repair(",\n".join([record(*row) for row in rows]))
             sep = ",\n"
     yield "[]" if sep == "[\n" else "\n" + indent + "]"
 

@@ -32,7 +32,7 @@ def direct_velocity(x, a, q):
 
 def basin_label_mu0(p, m, x):
     """Attractor of the mu = 0 flow of the game (p_es, m_ss) = (p, m) from a
-    start ``x`` inside the simplex, read off the line
+    start ``x`` on the simplex, read off the line
     L: (p + m) x_alpha = (m - p) x_beta.
 
     From the payoff rows, f_alpha - f_beta = (n / 2) ((p + m) x_alpha
@@ -42,7 +42,14 @@ def basin_label_mu0(p, m, x):
     at the beta vertex (along the beta-gamma edge), and one on it at the edge
     saddle x_alpha = (m - p) / (2 m), for which this returns None. For p >= m
     every interior start lies above L.
+
+    A share that is 0 stays 0, so a start with x_alpha = 0 stays on the
+    beta-gamma edge, where f_beta - f_gamma = n m x_gamma >= 0: with
+    x_beta > 0 it ends at the beta vertex (or starts there), whatever side
+    of L it lies on. The gamma vertex, which is on L, stays where it is.
     """
+    if x[0] == 0.0 and x[1] > 0.0:
+        return "BETA_DOMINANT"
     side = (p + m) * x[0] - (m - p) * x[1]
     if side > 0.0:
         return "ALPHA_DOMINANT"

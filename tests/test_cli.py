@@ -307,15 +307,17 @@ def test_equilibria_empty_list_gives_empty_json_array(capsys):
 
 
 # Floats of every shape the cell rule tells apart: fixed notation, integer
-# values, exponents 9 to 15 (printed with an exponent by %.9g, without one by
-# repr), subnormals, signed zeros and magnitudes up to 1e300.
+# values, exponents 8 to 15 (printed with an exponent by {:.9}, and from 9 on
+# by %.9g, without one by repr), subnormals, signed zeros and magnitudes up to
+# 1e300.
 _CELL_FLOATS = st.one_of(
     st.floats(-1e300, 1e300),
     st.floats(-1.0, 1.0),
     st.integers(-10**12, 10**12).map(float),
+    st.floats(1e8, 1e9, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
     st.floats(1e9, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
     st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 4.94065646e-322, 1e9, 1e16, 123456789.0]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 4.94065646e-322, 1e8, 1e9, 1e16, 123456789.0]),
 )
 
 
@@ -352,6 +354,56 @@ def test_float_cell_rule(v):
         assert csv_cells[key] == text
         assert json_cells[key] == json.dumps(float(text))
     assert json.loads("[%s]" % json_cells["residual"]) == [float(text)]
+
+
+# Shares of a state row: fixed notation, 0 and 1, small exponents and subnormals.
+_SHARES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.sampled_from([0.0, 1.0, 5e-324, 4.94065646e-322, 1e-5, 0.5]),
+)
+_ROWS = st.tuples(_SHARES, _SHARES, st.permutations(range(3))).filter(
+    lambda t: 1.0 - t[0] - t[1] >= 0.0).map(
+    lambda t: [[t[0], t[1], 1.0 - t[0] - t[1]][i] for i in t[2]])
+# Scales n that put phi = n x . (A x) at every exponent, 8 to 15 among them.
+_PHI_SCALES = st.one_of(st.floats(1e-300, 1e300), st.floats(1e8, 1e16),
+                        st.sampled_from([1.0, 2.0 ** -1020]))
+_TRAJECTORY_KEYS = ("t", "x_alpha", "x_beta", "x_gamma", "u", "v", "phi")
+
+
+def _json_rows(text: str) -> list[list[str]]:
+    """The raw JSON text of every trajectory cell, one list of 7 per record."""
+    cells = re.findall(r'^ *"(?:%s)": (.*?),?$' % "|".join(_TRAJECTORY_KEYS), text, flags=re.M)
+    return [cells[i:i + 7] for i in range(0, len(cells), 7)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(t0=_CELL_FLOATS, states=st.lists(_ROWS, min_size=1, max_size=4), n=_PHI_SCALES)
+def test_trajectory_json_cells_are_json_dumps_of_the_csv_floats(t0, states, n):
+    # The trajectory and portrait writers fill their records from the same
+    # template as the listings; times, shares and phi here take the shapes of
+    # _CELL_FLOATS, each cell is json.dumps(float('%.9g' % v)).
+    dt = abs(t0) or 1.0
+    times = [t0 + k * dt for k in range(len(states))]
+    traj = Trajectory(times, states, GantanganParams(2, 1, n), 0.0, dt)
+    outputs = {}
+    for fmt in ("csv", "json"):
+        for emit, arg in ((emit_trajectory, traj), (emit_portrait, [traj, traj])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                emit(arg, fmt)
+            outputs[emit, fmt] = out.getvalue()
+    csv_rows = [line.split(",") for line in outputs[emit_trajectory, "csv"].splitlines()[1:]]
+    assert [row[:4] for row in csv_rows] == [
+        ["%.9g" % (v + 0.0) for v in (t, *x)] for t, x in zip(times, states)]
+    expected = [[json.dumps(float(cell)) for cell in row] for row in csv_rows]
+    assert _json_rows(outputs[emit_trajectory, "json"]) == expected
+    assert _json_rows(outputs[emit_portrait, "json"]) == expected * 2
+    assert outputs[emit_portrait, "csv"].splitlines()[1:] == [
+        f"{seed}," + ",".join(row) for seed in (0, 1) for row in csv_rows]
+    document = json.loads(outputs[emit_portrait, "json"])
+    assert [[p[k] for k in _TRAJECTORY_KEYS] for p in document["trajectories"][1]["points"]] == [
+        [float(cell) for cell in row] for row in csv_rows]
 
 
 def test_mixed_rows_in_both_formats():
@@ -932,17 +984,18 @@ _NUMPY_FREE_SWEEPS = [
 
 
 def test_sweep_at_mu0_loads_no_numpy():
-    # A fresh interpreter, since this one has numpy loaded already.
+    # A fresh interpreter, since this one has numpy and dataclasses loaded already.
     script = """if True:
         import json, sys
         import gantangan.game, gantangan.dynamics, gantangan.equilibria, gantangan.output
-        assert "numpy" not in sys.modules, "import of the computing modules"
+        unwanted = {"numpy", "dataclasses", "inspect", "ast", "dis"}
+        assert not unwanted & set(sys.modules), "import of the computing modules"
         from gantangan.cli import main
         codes, outputs = [], []
         for extra in json.loads(sys.argv[1]):
             codes.append(main(["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2", *extra,
                                "--out", sys.argv[2]]))
-            assert "numpy" not in sys.modules, extra
+            assert not unwanted & set(sys.modules), (extra, sorted(unwanted & set(sys.modules)))
             with open(sys.argv[2], encoding="utf-8", newline="") as fh:
                 outputs.append(fh.read())
         codes.append(main(["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2", "--mu", "0.01",
@@ -987,14 +1040,17 @@ _NUMPY_FREE_RUNS = [
 
 
 def test_simulate_and_portrait_load_no_numpy():
-    # A fresh interpreter, since this one has numpy loaded already.
+    # A fresh interpreter, since this one has numpy and dataclasses loaded
+    # already. The computing modules' value classes are plain classes, so
+    # these commands load neither dataclasses nor what it imports.
     script = """if True:
         import json, sys
         from gantangan.cli import main
+        unwanted = {"numpy", "dataclasses", "inspect", "ast", "dis"}
         codes, outputs = [], []
         for argv in json.loads(sys.argv[1]):
             codes.append(main(argv + ["--out", sys.argv[2]]))
-            assert "numpy" not in sys.modules, argv
+            assert not unwanted & set(sys.modules), (argv, sorted(unwanted & set(sys.modules)))
             with open(sys.argv[2], encoding="utf-8", newline="") as fh:
                 outputs.append(fh.read())
         print(json.dumps({"codes": codes, "outputs": outputs}))

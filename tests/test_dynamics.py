@@ -339,10 +339,30 @@ def _start(weights) -> PopulationState:
 # A subnormal mu makes subnormal shares, whose products drop low bits.
 @example(p=1.0, m=4.953125, mu=2.2250738585e-313, weights=(0.0, 1.0, 0.0), dt=0.01, steps=5,
          j=1, c=1.0)
+# A normal share, x_gamma = 3.03e-307 at the last step, whose slope in the
+# n = 2^-7 run, 2^-7 x_gamma (f_gamma - phi), is below 2^-1022.
+@example(p=1.0, m=7.0, mu=0.0, weights=(1.0, 0.0, 1.8951222774098775e-304), dt=0.01, steps=92,
+         j=-7, c=1.0)
+# A subnormal x_beta that grows to 2e-297, carrying a difference of 2e-310.
+@example(p=1.0, m=19.875, mu=0.0, weights=(0.0, 2.2250738585e-313, 0.25), dt=0.01, steps=178,
+         j=-3, c=1.0)
 def test_payoff_scale_only_rescales_time(p, m, mu, weights, dt, steps, j, c):
     # n multiplies the whole field, so (n, dt / n, t_end / n) is the n = 1 run
-    # (t_end <= 5 here); for n a power of two every product of normal floats
-    # is exact, so states that are 0 or normal agree bit for bit.
+    # (t_end <= 5 here); for n = 2^j every field value (f, phi, each stage's
+    # slope) is 2^j times the n = 1 run's and every step constant (dt/2, dt,
+    # dt/6) 2^-j times, exactly, unless a product falls below 2^-1022 in the
+    # run where it is the smaller. Such a product is off by at most 2^-1075,
+    # and the step constants carry that into a share as at most
+    # dt' 2^-1074 = dt' tiny / 2^52 a step, with dt' = dt 2^max(0, -j) the step
+    # of the run whose field values are the smaller. That can move a share x
+    # by an ulp only with a chance of about (dt' tiny / 2^52) / ulp(x) =
+    # dt' tiny / x, so a share is excused from the step on at which it is
+    # nonzero and below 2^40 dt' tiny in either run; above that bound the
+    # chance is below 2^-40 a share and step. An excused share differs by at
+    # most tiny (its ulp is at most 2^-12 dt' tiny) times the factor by which
+    # it has grown since its smallest excused value: the flow x_i' = x_i (f_i
+    # - phi) carries a difference along with the share, as a share that starts
+    # subnormal and grows into the normal range shows.
     try:
         unit = integrate(_start(weights), GantanganParams(p, m), mu, dt, steps * dt)
     except StepSizeError:
@@ -350,10 +370,15 @@ def test_payoff_scale_only_rescales_time(p, m, mu, weights, dt, steps, j, c):
     n = 2.0 ** j
     fast = integrate(_start(weights), GantanganParams(p, m, n), mu, dt / n, steps * dt / n)
     tiny = np.finfo(float).tiny
-    subnormal = ((unit.states != 0.0) & (np.abs(unit.states) < tiny)
-                 | (fast.states != 0.0) & (np.abs(fast.states) < tiny))
-    assert np.array_equal(fast.states[~subnormal], unit.states[~subnormal])
-    assert np.all(np.abs(fast.states - unit.states)[subnormal] <= tiny)
+    small = 2.0 ** 40 * dt * 2.0 ** max(0, -j) * tiny
+    low = ((unit.states != 0.0) & (np.abs(unit.states) < small)
+           | (fast.states != 0.0) & (np.abs(fast.states) < small))
+    size = np.maximum(np.abs(unit.states), np.abs(fast.states))
+    excused = np.logical_or.accumulate(low, axis=0)
+    assert np.array_equal(fast.states[~excused], unit.states[~excused])
+    floor = np.minimum.accumulate(np.where(low, size, np.inf), axis=0)
+    bound = np.maximum(tiny, tiny / floor * size)
+    assert np.all(np.abs(fast.states - unit.states)[excused] <= bound[excused])
     assert np.array_equal(fast.times * n, unit.times)
     n *= c
     other = integrate(_start(weights), GantanganParams(p, m, n), mu, dt / n, steps * dt / n)

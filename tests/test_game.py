@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 
 from gantangan import (
+    AttractorLabel,
     DominanceKind,
+    DominanceRelation,
+    FixedPointReport,
     GantanganParams,
+    Location,
     PopulationState,
+    Stability,
     Strategy,
+    SweepCell,
+    Trajectory,
     average_fitness,
     build_payoff,
     dominance,
     dominance_report,
     fitness,
+    integrate,
+    uniform_kernel,
 )
+from gantangan.dynamics import Flow, flow
 
 from reference import direct_average_fitness, direct_fitness
 
@@ -217,3 +227,51 @@ def test_state_helpers_and_immutability():
     assert np.array_equal(v.x, [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         v.x[0] = 0.5
+
+
+def test_params_and_dominance_relations_are_equal_by_value():
+    # flow() caches on GantanganParams, so equal parameters must be one key.
+    a, b = GantanganParams(2, 1), GantanganParams(2.0, 1.0, 1.0)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != GantanganParams(2, 1, 2) and a != GantanganParams(1, 2)
+    assert a != (2.0, 1.0, 1.0)  # only another GantanganParams compares equal
+    assert len({a, b, GantanganParams(1, 2)}) == 2
+    assert flow(a, 0.0) is flow(b, 0.0)
+    assert repr(a) == "GantanganParams(p_es=2.0, m_ss=1.0, n=1.0)"
+    weak = DominanceRelation(Strategy.ALPHA, Strategy.BETA, DominanceKind.WEAK)
+    found = dominance(build_payoff(a), Strategy.ALPHA, Strategy.BETA)
+    assert found == weak and hash(found) == hash(weak)
+    assert found != DominanceRelation(Strategy.ALPHA, Strategy.BETA, DominanceKind.STRICT)
+
+
+def test_value_classes_refuse_assignment():
+    params = GantanganParams(p_es=2, m_ss=1, n=1)
+    state = PopulationState(x=[1.0, 0.0, 0.0])
+    run = integrate(PopulationState.uniform(), params, 0.0, 0.01, 0.02)
+    records = {
+        params: "p_es",
+        state: "shares",
+        DominanceRelation(dominator=Strategy.ALPHA, dominated=Strategy.GAMMA,
+                          kind=DominanceKind.STRICT): "kind",
+        uniform_kernel(0.01): "q",
+        Flow(rows=((3.0, 1.5, 1.0), (1.5, 1.0, 1.0), (2.0, 1.0, 0.0)), mu=0.0): "velocity",
+        run: "steps",
+        Trajectory([0.0], [[1.0, 0.0, 0.0]], params, 0.0, 0.01): "dt",
+        FixedPointReport(state=state, residual=0.0, eigenvalues=(-1 + 0j, -1.5 + 0j),
+                         stability=Stability.SINK, location=Location.VERTEX_ALPHA): "residual",
+        SweepCell(p_es=2.0, m_ss=1.0, attractor_label=AttractorLabel.ALPHA_DOMINANT,
+                  fixed_point_count=3, endpoint=state): "endpoint",
+    }
+    for record, name in records.items():
+        before = getattr(record, name)
+        for attempt in (lambda: setattr(record, name, None), lambda: delattr(record, name),
+                        lambda: setattr(record, "extra", None)):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert getattr(record, name) is before
+    # Attributes built on first access still fill in, read-only.
+    assert run.states.shape == (3, 3) and not run.states.flags.writeable
+    assert state.x.tolist() == [1.0, 0.0, 0.0]
+    # The other classes compare by identity.
+    assert PopulationState.uniform() != PopulationState.uniform()
+    assert uniform_kernel(0.01) != uniform_kernel(0.01)
