@@ -331,7 +331,13 @@ def integrate(
     or at a non-finite state, raises :class:`StepSizeError`.
 
     With ``converge_tol`` set, integration stops early once the velocity
-    max-norm falls below it; the trajectory then ends at the stop time.
+    max-norm falls below it; the trajectory then ends at the stop time. At
+    mu = 0 a present share that still grows, x_i > 0 with f_i - phi above
+    the square root of ``converge_tol``, holds the stop off: such a state is
+    a slow point next to a rest point the flow leaves (a share of 1e-16 next
+    to an unstable vertex), not a rest point it settles at. A share of at
+    least that root has a rate below it wherever the velocity passes the
+    test, so only shares below it can hold a run.
 
     The steps run on Python floats, with the field of :attr:`Flow.velocity`
     written into each stage (same operations, same order, so the same
@@ -400,6 +406,7 @@ def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
     tol = SIMPLEX_STEP_TOL
     low = -tol
+    rise = abs(stop) ** 0.5
     half = 0.5 * dt
     sixth = dt / 6.0
     a, b, c = x
@@ -457,7 +464,10 @@ def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
         k1a, k1b, k1c = a * (f0 - phi), b * (f1 - phi), c * (f2 - phi)
         # NaN compares False, so a non-finite field never counts as converged.
         if abs(k1a) < stop and abs(k1b) < stop and abs(k1c) < stop:
-            return k
+            # A present share growing faster than rise holds the stop off.
+            if not (a > 0.0 and f0 - phi > rise or b > 0.0 and f1 - phi > rise
+                    or c > 0.0 and f2 - phi > rise):
+                return k
     return n_steps
 
 

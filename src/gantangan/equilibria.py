@@ -437,9 +437,10 @@ def sweep(
     Each range is (lo, hi, steps) with 0 < lo < hi and steps >= 2, expanded
     to evenly spaced values inclusive of both ends. Cells are traversed
     row-major with p_es outermost. Each cell integrates from ``x0`` (the
-    uniform state by default) until the velocity drops below 1e-10 or the
-    time cap, keeping only its endpoint, then matches the endpoint against
-    the vertices.
+    uniform state by default) until the velocity drops below 1e-10 (at
+    mu = 0, with no present share growing faster than 1e-5: see
+    :func:`~gantangan.dynamics.integrate`) or the time cap, keeping only its
+    endpoint, then matches the endpoint against the vertices.
 
     The scale ``n`` multiplies the whole velocity field, so it only rescales
     time: each cell integrates and counts rest points on the n = 1 flow, with

@@ -435,6 +435,13 @@ def test_mixed_rows_in_both_formats():
     )
 
 
+def test_label_values_need_no_json_escape():
+    # The JSON writer quotes a label's text as it is, without escaping it.
+    for label in (*Stability, *Location, *AttractorLabel):
+        assert re.fullmatch(r"[A-Z_]+", label.value)
+        assert json.dumps(label.value) == f'"{label.value}"'
+
+
 def test_trajectory_negative_zero_prints_as_zero(tmp_path):
     traj = Trajectory(np.array([-0.0]), np.array([[1.0, -0.0, 0.0]]),
                       GantanganParams(2, 1, 1), 0.0, 0.01)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -503,15 +505,33 @@ def _clear_of_the_line(p, m, x) -> bool:
     return abs((p + m) * x[0] - (m - p) * x[1]) >= _BASIN_MARGIN * (p + m)
 
 
-# A start with 0 < x_alpha below this lingers at the beta-gamma edge longer
-# than a sweep cell shows: its field can be below the sweep's 1e-10 stop
-# (x_alpha = 3.6e-16 next to the beta vertex stops at the first step), it can
-# need longer than the time cap to grow (x_alpha = 4.5e-241 at p = 1.6,
-# m = 1.08), and a subnormal share does not grow in a step at all
-# (x_alpha = 1e-323). The sweep then labels where the run stops, not where
-# the flow goes. A start with x_alpha = 0 stays on the edge, which the oracle
-# knows.
-_ALPHA_MARGIN = 1e-6
+def _at_alpha_within_the_cap(p, m, x) -> bool:
+    """Whether the mu = 0 flow of a cell with p > m, from a start with
+    0 < x_alpha, provably comes within the sweep's vertex tolerance of the
+    alpha vertex before its time cap, and x_alpha is a normal float.
+
+    From the payoff rows, phi - f_gamma = m (x_alpha (x_alpha + x_gamma)
+    + x_beta x_gamma) >= 0, so x_gamma never grows and x_alpha + x_beta stays
+    at least s = 1 - x_gamma(0). Then ln(x_alpha / x_beta) grows at the rate
+    f_alpha - f_beta >= (p - m) s / 2 = rho: x_alpha >= x_beta after
+    ln(x_beta / x_alpha) / rho, x_beta <= tol / 2 a further ln(2 / tol) / rho
+    later, and from the first time on x_alpha >= s / 2, so x_gamma falls at a
+    rate of at least m s^2 / 4 to tol / 2. A start next to the beta-gamma edge
+    can need longer than the cap (x_alpha = 4.5e-241 at p = 1.6, m = 1.08
+    needs about 2100 of its 2000), and a subnormal share does not grow in a
+    step at all (1e-323 (1 + rho dt) rounds to 1e-323): the sweep then labels
+    where the run ends, which is not where the flow goes.
+    """
+    a, b, c = x
+    if a < sys.float_info.min:
+        return False
+    tol = equilibria_module.VERTEX_LABEL_TOL / 2.0
+    s = 1.0 - c
+    rho = (p - m) * s / 2.0
+    t_cross = math.log(b / a) / rho if b > a else 0.0
+    t_beta = math.log(1.0 / tol) / rho
+    t_gamma = math.log(c / tol) / (m * s * s / 4.0) if c > tol else 0.0
+    return t_cross + t_beta + t_gamma <= equilibria_module.SWEEP_T_CAP
 
 
 @settings(max_examples=5, deadline=None, database=None)
@@ -522,14 +542,21 @@ _ALPHA_MARGIN = 1e-6
 @example(p=1.5, m=2.0, widths=(1.0, 0.01), weights=(0.05, 0.9, 0.05))
 # A start at the beta vertex, above L for p > m, stays there.
 @example(p=3.0, m=1.0, widths=(1.0, 1.0), weights=(0.0, 1.0, 0.0))
+# x_alpha = 3.6e-16 next to the beta vertex: the field there is below the
+# sweep's 1e-10 bound, but x_alpha grows, so the cell (3.18, 2.48) runs on
+# to the alpha vertex instead of stopping at its first step.
+@example(p=1.6616416830712046, m=2.4837229766088758, widths=(0.9165241280938462, 0.7133445212313984),
+         weights=(2.220446049250313e-16, 0.6195101376581257, 5.960464477539063e-08))
 def test_sweep_labels_at_mu0_are_the_side_of_the_invariant_line(p, m, widths, weights):
     start = PopulationState([w / sum(weights) for w in weights])
     p_range, m_range = (p, p * (1.0 + widths[0]), 2), (m, m * (1.0 + widths[1]), 2)
-    # Every cell clear of L, and the start clear of the beta-gamma edge or on
-    # it, so that no draw spends the time cap on a cell it cannot check.
-    assume(start.shares[0] == 0.0 or start.shares[0] >= _ALPHA_MARGIN)
-    assume(all(_clear_of_the_line(p_es, m_ss, start.shares)
-               for p_es in p_range[:2] for m_ss in m_range[:2]))
+    cells = [(p_es, m_ss) for p_es in p_range[:2] for m_ss in m_range[:2]]
+    # Every cell clear of L, and every cell whose flow leaves the beta-gamma
+    # edge for the alpha vertex there before the time cap, so that no draw
+    # spends the time cap on a cell it cannot check.
+    assume(all(_clear_of_the_line(p_es, m_ss, start.shares) for p_es, m_ss in cells))
+    assume(all(_at_alpha_within_the_cap(p_es, m_ss, start.shares) for p_es, m_ss in cells
+               if p_es > m_ss and start.shares[0] > 0.0))
     for cell in sweep(p_range, m_range, x0=start):
         assert cell.attractor_label.value == basin_label_mu0(cell.p_es, cell.m_ss, start.shares)
 
