@@ -23,9 +23,10 @@ endpoint overwrites the same three). A trajectory's ``times`` and
 ``states`` are numpy arrays built on first access, ``states`` a zero-copy
 view of those floats; the CLI's writers read the floats themselves, and
 :func:`trajectory_phi` computes phi on them. numpy is imported by the
-functions that build arrays (``Flow.payoff``, ``Flow.kernel``,
-``Flow.jacobian``, a trajectory's ``times``, ``states`` and phi), when they
-first run, so ``simulate``, ``portrait`` and a sweep at mu = 0 do not load it.
+functions that build arrays (``Flow.payoff``, ``Flow.kernel``, a
+trajectory's ``times``, ``states`` and phi), and by ``Flow.jacobian``, which
+takes any three floats and forms its product on arrays, when they first
+run, so ``simulate``, ``portrait`` and a sweep at mu = 0 do not load it.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class Flow(_Record):
     def kernel(self) -> MutationKernel:
         return uniform_kernel(self.mu)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form Jacobian of :attr:`velocity` at a raw frequency vector.
+    def jacobian(self, x) -> np.ndarray:
+        """Closed-form Jacobian of :attr:`velocity` at any 3-sequence of raw frequencies.
 
         For F(x) = Q^T (x * Ax) - x (x^T A x) this is
         DF = Q^T (diag(Ax) + diag(x) A) - phi I - x (Ax + A^T x)^T
@@ -155,7 +156,7 @@ class Flow(_Record):
         """
         import numpy as np
 
-        a, q = self.payoff, self.kernel.q
+        a, q, x = self.payoff, self.kernel.q, np.asarray(x, dtype=float)
         f = a @ x
         return q.T @ (np.diag(f) + x[:, None] * a) - (x @ f) * np.eye(3) - np.outer(x, f + a.T @ x)
 

@@ -9,14 +9,15 @@ output.
 All operations are pure; sweep cells and portrait seeds are independent and
 may be evaluated in parallel, with results always reported in input order.
 
-The rest-point search (:func:`_rest_points`) runs on Python floats: at
-mu = 0 it needs no numpy, while at mu > 0 its seeds come from ``np.roots``.
-Classification, on the Jacobian, and the ternary projection of arrays
-(:func:`ternary_coordinates`) use numpy, imported by the functions that
-build arrays when they first run; the trajectory writers compute the same
-(u, v) on floats. A sweep at mu = 0 integrates, counts rest points and
-labels its cells on floats, and :func:`portrait` integrates on floats, so
-neither loads numpy.
+The rest-point search (:func:`_rest_points`) carries each candidate as a
+float triple from its seed to its report. numpy computes only where its
+summation order can reach printed bytes: the eliminant's coefficients and
+roots in :func:`_mutation_seeds` (at mu > 0), and the product in
+``Flow.jacobian`` that classification reads. Those functions, and
+:func:`ternary_coordinates`, which builds an array, import it when they
+first run. A sweep at mu = 0 integrates, counts rest points and labels its
+cells on floats, and :func:`portrait` integrates on floats, so neither
+loads numpy.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ ROOT_SLACK = 1e-2
 # vertex's label; generous against integration error, tiny against the
 # inter-vertex distance of 1.
 VERTEX_LABEL_TOL = 1e-3
+
+# A share at most this is absent from a listed state's location.
+LOCATION_TOL = 1e-7
 
 # Step and time cap of each sweep cell's integration, in n = 1 time.
 SWEEP_DT = 0.01
@@ -152,19 +156,15 @@ class SweepCell(_Record):
 
 def jacobian(state: PopulationState, params: GantanganParams, mu: float = 0.0) -> np.ndarray:
     """Closed-form Jacobian of the velocity field at ``state`` (``Flow.jacobian``)."""
-    return flow(params, mu).jacobian(state.x)
+    return flow(params, mu).jacobian(state.shares)
 
 
-def _locate(x: np.ndarray, tol: float = 1e-7) -> Location:
-    import numpy as np
-
-    zeros = x <= tol
-    if zeros.sum() == 2:
-        return (Location.VERTEX_ALPHA, Location.VERTEX_BETA, Location.VERTEX_GAMMA)[
-            int(np.argmax(x))
-        ]
-    if zeros.sum() == 1:
-        return (Location.EDGE_BG, Location.EDGE_AG, Location.EDGE_AB)[int(np.argmax(zeros))]
+def _locate(x: tuple[float, float, float]) -> Location:
+    zeros = [v <= LOCATION_TOL for v in x]
+    if zeros.count(True) == 2:
+        return (Location.VERTEX_ALPHA, Location.VERTEX_BETA, Location.VERTEX_GAMMA)[x.index(max(x))]
+    if zeros.count(True) == 1:
+        return (Location.EDGE_BG, Location.EDGE_AG, Location.EDGE_AB)[zeros.index(True)]
     return Location.INTERIOR
 
 
@@ -225,7 +225,7 @@ def classify_stability(
         stability = Stability.SADDLE
     else:
         stability = Stability.NONHYPERBOLIC
-    return FixedPointReport(state, residual, pair, stability, _locate(state.x))
+    return FixedPointReport(state, residual, pair, stability, _locate(state.shares))
 
 
 def _edge_candidates(payoff) -> list[tuple[float, float, float]]:
@@ -251,25 +251,26 @@ def _edge_candidates(payoff) -> list[tuple[float, float, float]]:
     return out
 
 
-def _newton_refine(seed: np.ndarray, game_flow: Flow) -> np.ndarray | None:
+def _newton_refine(seed: tuple[float, float], game_flow: Flow) -> tuple[float, float, float] | None:
     """Damped Newton on the two free coordinates; returns the full simplex
     point on convergence, None when the seed diverges or leaves the domain.
 
     Substituting x_gamma = 1 - z0 - z1 turns the Jacobian of the first two
     velocity components into :func:`_plane`; Cramer's rule solves its system.
+    The root is clamped (a share <= 0 becomes 0.0) and divided by its sum
+    0.0 + a + b + c, as numpy's clip and sum of a 3-vector give them.
     """
-    import numpy as np
-
-    z0, z1 = seed.tolist()
+    z0, z1 = seed
     f0, f1, _ = game_flow.velocity(z0, z1, 1.0 - z0 - z1)
     norm = max(abs(f0), abs(f1))
     for _ in range(NEWTON_MAX_ITER):
-        x = np.array([z0, z1, 1.0 - z0 - z1])
+        x = (z0, z1, 1.0 - z0 - z1)
         if norm <= NEWTON_RESIDUAL:
-            if x.min() < -1e-9:
+            if min(x) < -1e-9:
                 return None
-            np.clip(x, 0.0, None, out=x)
-            return x / x.sum()
+            a, b, c = (v if v > 0.0 else 0.0 for v in x)
+            total = 0.0 + a + b + c
+            return a / total, b / total, c / total
         a, b, c, d = _plane(game_flow.jacobian(x))
         det = a * d - b * c
         if det == 0.0:
@@ -290,15 +291,13 @@ def _newton_refine(seed: np.ndarray, game_flow: Flow) -> np.ndarray | None:
     return None
 
 
-def _near_real(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _near_real(roots: list[complex], lo: float, hi: float) -> list[float]:
     """Real parts of the roots within ``ROOT_SLACK`` of the interval [lo, hi]."""
-    import numpy as np
-
-    return roots[(np.abs(roots.imag) <= ROOT_SLACK)
-                 & (roots.real >= lo - ROOT_SLACK) & (roots.real <= hi + ROOT_SLACK)].real
+    return [r.real for r in roots
+            if abs(r.imag) <= ROOT_SLACK and lo - ROOT_SLACK <= r.real <= hi + ROOT_SLACK]
 
 
-def _mutation_seeds(game_flow: Flow) -> list[np.ndarray]:
+def _mutation_seeds(game_flow: Flow) -> list[tuple[float, float]]:
     """Newton seeds (x_alpha, x_beta) at the real common zeros of the unit
     game's field under the uniform kernel, by elimination (Cox, Little &
     O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3).
@@ -327,10 +326,10 @@ def _mutation_seeds(game_flow: Flow) -> list[np.ndarray]:
                    np.polyadd(np.convolve(np.convolve(num, den), [d, 0.0, -k * m]),
                               k * m * np.convolve(den, den)))
     seeds = []
-    for b in _near_real(np.roots(q), 0.0, 1.0):
-        for a in _near_real(np.roots([h * b - k * p, d * b * b - k * m, k * m * b]), 0.0, 1.0 - b):
-            seeds.append(np.array([a, b]))
-    return seeds + [np.array([1.0, 0.0])]
+    for b in _near_real(np.roots(q).tolist(), 0.0, 1.0):
+        quadratic = np.roots([h * b - k * p, d * b * b - k * m, k * m * b]).tolist()
+        seeds += [(a, b) for a in _near_real(quadratic, 0.0, 1.0 - b)]
+    return seeds + [(1.0, 0.0)]
 
 
 def _mutation_candidates(game_flow: Flow) -> list[tuple[float, float, float]]:
@@ -339,14 +338,13 @@ def _mutation_candidates(game_flow: Flow) -> list[tuple[float, float, float]]:
     roots within ``DEDUP_RADIUS`` of each other the first is kept: the exact
     vertex, then a root from the eliminant's seeds, which start closer than
     the alpha vertex and so end with a smaller residual."""
-    import numpy as np
-
-    out = [np.array([0.0, 0.0, 1.0])]
+    out = [(0.0, 0.0, 1.0)]
     for seed in _mutation_seeds(game_flow):
         root = _newton_refine(seed, game_flow)
-        if root is not None and all(float(np.max(np.abs(root - x))) > DEDUP_RADIUS for x in out):
+        if root is not None and all(
+                max(abs(r - v) for r, v in zip(root, x)) > DEDUP_RADIUS for x in out):
             out.append(root)
-    return [tuple(x.tolist()) for x in out]
+    return out
 
 
 def _rest_points(params: GantanganParams, mu: float) -> list[tuple[float, float, float]]:
@@ -470,7 +468,7 @@ def sweep(
 def ternary_project(state: PopulationState) -> TernaryPoint:
     """Triangle coordinates with alpha at (0, 0), beta at (1, 0), and gamma
     at the apex (0.5, sqrt(3)/2)."""
-    return TernaryPoint(*ternary_coordinates(state.x[None])[0].tolist())
+    return TernaryPoint(state.shares[1] + 0.5 * state.shares[2], _SQRT3_2 * state.shares[2])
 
 
 def ternary_coordinates(states: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import io
@@ -278,7 +279,9 @@ def test_golden_trajectory_file(tmp_path):
 
 
 # Each file was written by the writer that formatted every cell to text, read
-# it back as a float and passed the records to json.dumps(indent=2).
+# it back as a float and passed the records to json.dumps(indent=2); the two
+# listings at (1, 2) and (1, 3) by the one-call writer, while the rest-point
+# search still carried its candidates as numpy arrays.
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -293,6 +296,11 @@ def test_golden_trajectory_file(tmp_path):
         ("equilibria_tie_mu_golden.json",
          ["equilibria", "--p-es", "2", "--m-ss", "2", "--mu", "0.01"]),
         ("sweep_golden.json", ["sweep", "--grid", "1:2:2", "--grid", "0.5:1:2"]),
+        # Four states: the near-beta root cluster, dedup and the alpha-vertex seed.
+        ("equilibria_two_sinks_mu_golden.json",
+         ["equilibria", "--p-es", "1", "--m-ss", "2", "--mu", "0.01"]),
+        # The EDGE_AB saddle at mu = 0.
+        ("equilibria_edge_saddle_golden.json", ["equilibria", "--p-es", "1", "--m-ss", "3"]),
     ],
 )
 def test_golden_json_file(tmp_path, name, argv):
@@ -934,6 +942,49 @@ def test_every_export_resolves_and_is_in_its_modules_all():
         mod = importlib.import_module(f"gantangan.{module}")
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, (module, missing)
+
+
+# The functions that import numpy, by module: the library's builders and
+# readers of arrays, and the two whose numpy results reach printed bytes, the
+# eliminant's roots (_mutation_seeds) and the Jacobian's product.
+_NUMPY_IMPORTERS = {
+    "game": {"_three_floats", "PopulationState.x", "as_payoff_matrix", "build_payoff",
+             "average_fitness", "dominance"},
+    "dynamics": {"uniform_kernel", "Flow.payoff", "Flow.jacobian", "Trajectory.__init__",
+                 "Trajectory.times", "Trajectory.states", "trajectory_phi"},
+    "equilibria": {"_mutation_seeds", "ternary_coordinates"},
+    "output": set(),
+}
+
+
+def _numpy_importers(tree: ast.Module) -> set[str]:
+    """Qualified names of the functions that import numpy; an import outside
+    every function and outside ``if TYPE_CHECKING:`` counts as ``<module>``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in child.names] if isinstance(child, ast.Import) else [
+                    child.module or ""]
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    found.add(scope or "<module>")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(_NUMPY_IMPORTERS))
+def test_numpy_is_imported_only_where_arrays_are_built_or_bytes_depend_on_it(module):
+    path = Path(__file__).parents[1] / "src" / "gantangan" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _numpy_importers(tree) == _NUMPY_IMPORTERS[module]
 
 
 # ---------------------------------------------------- numpy off the start-up path

@@ -343,6 +343,10 @@ def _start(weights) -> PopulationState:
 # n = 2^-7 run, 2^-7 x_gamma (f_gamma - phi), is below 2^-1022.
 @example(p=1.0, m=7.0, mu=0.0, weights=(1.0, 0.0, 1.8951222774098775e-304), dt=0.01, steps=92,
          j=-7, c=1.0)
+# A subnormal x_beta that grows past the excused range: at step 162 it is
+# 4.06e-297 in both runs, a relative 1.67e-15 apart.
+@example(p=1.0, m=17.0, mu=0.0, weights=(0.0, 2.225073858507203e-309, 0.5), dt=0.01,
+         steps=162, j=-4, c=1.0)
 def test_payoff_scale_only_rescales_time(p, m, mu, weights, dt, steps, j, c):
     # n multiplies the whole field, so (n, dt / n, t_end / n) is the n = 1 run
     # (t_end <= 5 here); for n = 2^j every field value (f, phi, each stage's
@@ -356,6 +360,10 @@ def test_payoff_scale_only_rescales_time(p, m, mu, weights, dt, steps, j, c):
     # dt' tiny / x, so a share is excused at a step at which it is nonzero
     # and below 2^40 dt' tiny in either run; above that bound the chance is
     # below 2^-40 a share and step. An excused share differs by at most tiny.
+    # A share that leaves the excused range carries the relative difference
+    # its excused steps left, since x_i' = x_i (f_i - phi) carries one along:
+    # at most dt' 2^-1074 / least for each step it was excused, where least
+    # is the smallest nonzero value it took then in either run.
     try:
         unit = integrate(_start(weights), GantanganParams(p, m), mu, dt, steps * dt)
     except StepSizeError:
@@ -363,11 +371,20 @@ def test_payoff_scale_only_rescales_time(p, m, mu, weights, dt, steps, j, c):
     n = 2.0 ** j
     fast = integrate(_start(weights), GantanganParams(p, m, n), mu, dt / n, steps * dt / n)
     tiny = np.finfo(float).tiny
-    small = 2.0 ** 40 * dt * 2.0 ** max(0, -j) * tiny
+    step = dt * 2.0 ** max(0, -j)
+    small = 2.0 ** 40 * step * tiny
     excused = ((unit.states != 0.0) & (np.abs(unit.states) < small)
                | (fast.states != 0.0) & (np.abs(fast.states) < small))
-    assert np.array_equal(fast.states[~excused], unit.states[~excused])
-    assert np.all(np.abs(fast.states - unit.states)[excused] <= tiny)
+    since = np.logical_or.accumulate(excused, axis=0)
+    assert np.array_equal(fast.states[~since], unit.states[~since])
+    diff = np.abs(fast.states - unit.states)
+    assert np.all(diff[excused] <= tiny)
+    held = [np.where(excused & (run.states != 0.0), np.abs(run.states), np.inf)
+            for run in (unit, fast)]
+    least = np.minimum.accumulate(np.minimum(*held), axis=0)
+    after = since & ~excused
+    carried = np.cumsum(excused, axis=0)[after] * step * 2.0 ** -52 * (tiny / least[after])
+    assert np.all(diff[after] <= carried * np.abs(unit.states[after]))
     assert np.array_equal(fast.times * n, unit.times)
     n *= c
     other = integrate(_start(weights), GantanganParams(p, m, n), mu, dt / n, steps * dt / n)

@@ -34,6 +34,7 @@ from gantangan import (
     ternary_project,
     uniform_kernel,
 )
+from gantangan.dynamics import flow
 
 from reference import (
     basin_label_mu0,
@@ -346,6 +347,20 @@ def test_mutation_search_is_deterministic():
         assert a.stability is b.stability
 
 
+def test_a_share_at_the_location_tolerance_is_absent_and_one_just_above_is_present():
+    tol = equilibria_module.LOCATION_TOL
+    above = math.nextafter(tol, 1.0)
+    locate = equilibria_module._locate
+    assert locate((1.0 - tol, tol, 0.0)) is Location.VERTEX_ALPHA
+    assert locate((1.0 - above, above, 0.0)) is Location.EDGE_AB
+    assert locate((tol, 1.0 - 2.0 * tol, tol)) is Location.VERTEX_BETA
+    assert locate((above, 1.0 - 2.0 * above, above)) is Location.INTERIOR
+    assert locate((0.0, tol, 1.0 - tol)) is Location.VERTEX_GAMMA
+    assert locate((0.0, above, 1.0 - above)) is Location.EDGE_BG
+    assert locate((0.5, tol, 0.5 - tol)) is Location.EDGE_AG
+    assert locate((0.5, above, 0.5 - above)) is Location.INTERIOR
+
+
 # ---------------------------------------------------------------- jacobian
 
 
@@ -360,6 +375,16 @@ def test_jacobian_matches_analytic_directional_derivative():
         v = frame @ rng.normal(size=2)
         exact = directional_derivative(state.x, v, build_payoff(params), uniform_kernel(mu).q)
         assert np.linalg.norm(jac @ v - exact) / np.linalg.norm(exact) <= 1e-12
+
+
+def test_jacobian_of_floats_is_its_value_on_the_array_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        game = flow(GantanganParams(*rng.uniform(0.05, 20.0, size=3)), rng.choice([0.0, 0.03]))
+        state = PopulationState(rng.dirichlet(np.ones(3)))
+        by_floats = game.jacobian(state.shares)
+        assert by_floats.tobytes() == game.jacobian(state.x).tobytes()
+        assert by_floats.tobytes() == game.jacobian(list(state.shares)).tobytes()
 
 
 def test_vertex_eigenvalues_are_payoff_differences():
@@ -642,6 +667,12 @@ def test_ternary_vertices_and_centroid():
     u, v = ternary_project(PopulationState.uniform())
     assert abs(u - 0.5) <= 1e-12
     assert abs(v - np.sqrt(3.0) / 6.0) <= 1e-12
+
+
+def test_ternary_project_is_ternary_coordinates_bit_for_bit():
+    states = [PopulationState(x) for x in np.random.default_rng(38).dirichlet(np.ones(3), 50)]
+    uv = ternary_coordinates(np.array([state.shares for state in states]))
+    assert [tuple(ternary_project(state)) for state in states] == list(map(tuple, uv.tolist()))
 
 
 def test_ternary_projection_is_affine():
