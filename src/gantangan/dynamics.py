@@ -11,15 +11,19 @@ a fixed-step classical Runge-Kutta integrator that projects each step back
 onto the simplex, which keeps golden outputs reproducible. The integrator
 steps on Python floats, not numpy 3-vectors, so the printed bytes do not
 pass through BLAS's 3x3 kernels, whose summation order depends on the CPU
-kernel picked at run time. Its loop carries the field inline: a step costs about
-1.8 µs, against 2.3 µs when each stage calls :attr:`Flow.velocity` and 40 µs
-on numpy 3-vectors (CPython 3.11 on a 2-core Xeon), and about 1.8 times as
-much at a state with a subnormal share.
+kernel picked at run time. The field reads the deposit game's four payoff
+numbers (P, h, m, p), the rows being ((P, h, m), (h, m, m), (p, m, 0)): six
+products an evaluation where a general 3x3 payoff takes nine, with the same
+floats. The loop carries it inline: at mu = 0 a step that keeps only its
+endpoint costs about 1.6 µs, against 1.9 µs with the nine products,
+2.0 µs when each stage calls :attr:`Flow.velocity` and 23 µs on numpy
+3-vectors (CPython 3.11 on a 2-core Xeon), and about 1.9 times as much at a
+state with a subnormal share.
 
 The flow and every run live on Python floats too: :func:`flow` holds the
 game as rows of floats, and a run writes its states into an ``array('d')``,
 three floats a state, that grows with the run (a run that keeps only its
-endpoint overwrites the same three). A trajectory's ``times`` and
+endpoint writes its last state there once). A trajectory's ``times`` and
 ``states`` are numpy arrays built on first access, ``states`` a zero-copy
 view of those floats; the CLI's writers read the floats themselves, and
 :func:`trajectory_phi` computes phi on them. numpy is imported by the
@@ -125,17 +129,22 @@ def replicator_mutator_field(x: np.ndarray, payoff: np.ndarray, q: np.ndarray) -
 
 
 class Flow(_Record):
-    """The velocity field of one payoff matrix, given as three rows of
-    floats, under the uniform kernel of ``mu``; ``velocity`` evaluates it on
-    Python floats from the rows and ``mu`` (:func:`_scalar_field`). The
-    read-only arrays ``payoff`` and ``kernel.q``, which only :meth:`jacobian`
-    reads, are built on first access."""
+    """The velocity field of one deposit game's payoff matrix, given as three
+    rows of floats ((P, h, m), (h, m, m), (p, m, 0)) (:func:`payoff_rows`),
+    under the uniform kernel of ``mu``. ``entries`` holds its four numbers
+    (P, h, m, p), read once; rows of any other structure raise ValueError.
+    ``velocity`` evaluates the field on Python floats from them and ``mu``
+    (:func:`_scalar_field`). The read-only arrays ``payoff`` and
+    ``kernel.q``, which only :meth:`jacobian` reads, are built on first
+    access."""
 
     rows: tuple[tuple[float, float, float], ...]
     mu: float
 
     def __init__(self, rows: tuple[tuple[float, float, float], ...], mu: float) -> None:
-        vars(self).update(rows=rows, mu=mu, velocity=_scalar_field(rows, mu))
+        entries = _entries(rows)
+        vars(self).update(rows=rows, mu=mu, entries=entries,
+                          velocity=_scalar_field(entries, mu))
 
     @functools.cached_property
     def payoff(self) -> np.ndarray:
@@ -276,24 +285,39 @@ class Trajectory(_Record):
         return PopulationState(self._flat[-3:].tolist())
 
 
-def _scalar_field(payoff, mu):
-    """The velocity field on Python floats, from the rows of ``payoff`` and
-    the mutation rate ``mu``.
+def _entries(rows) -> tuple[float, float, float, float]:
+    """The four numbers (P, h, m, p) of deposit-game rows ((P, h, m), (h, m,
+    m), (p, m, 0)); rows whose equal entries are not equal floats, or whose
+    last entry is not zero, raise ValueError."""
+    (big, h, m), (h1, m1, m2), (p, m3, zero) = rows
+    if not (h1 == h and m1 == m2 == m3 == m and zero == 0.0):
+        raise ValueError(f"payoff rows must be ((P, h, m), (h, m, m), (p, m, 0)), got {rows!r}")
+    return big, h, m, p
 
-    Returns ``velocity(x0, x1, x2) -> (v0, v1, v2)``. At mu = 0 it is the
-    replicator form x_i (f_i - phi), otherwise keep g_i + move g_j + move g_k
-    - x_i phi (j < k), the uniform kernel's sum_j q[j, i] g_j - x_i phi term
-    by term, with g = x * f, keep = 1 - mu and move = mu / 2. Every sum runs
-    left to right; the other operations are those of :func:`replicator_field`
-    and :func:`replicator_mutator_field`. The RK4 loops of :func:`integrate`
+
+def _scalar_field(entries, mu):
+    """The velocity field on Python floats, from the four numbers (P, h, m,
+    p) of the deposit game's rows (:func:`_entries`) and the mutation rate
+    ``mu``.
+
+    Returns ``velocity(x0, x1, x2) -> (v0, v1, v2)``. The fitnesses are
+    f0 = (P x0 + h x1) + m x2, f1 = (h x0 + m x1) + m x2 and f2 = p x0 + m x1,
+    with m x1 and m x2 computed once. At mu = 0 the field is the replicator
+    form x_i (f_i - phi), otherwise keep g_i + move g_j + move g_k - x_i phi
+    (j < k), the uniform kernel's sum_j q[j, i] g_j - x_i phi term by term,
+    with g = x * f, keep = 1 - mu, move = mu / 2 and each move g_j computed
+    once. Every sum runs left to right; the operations are those of
+    :func:`replicator_field` and :func:`replicator_mutator_field` on the
+    rows, less the product 0 * x2 of f2. The RK4 loops of :func:`integrate`
     carry the same operations inline.
     """
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
+    big, h, m, p = entries
     if mu == 0.0:
         def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
-            f0 = a00 * x0 + a01 * x1 + a02 * x2
-            f1 = a10 * x0 + a11 * x1 + a12 * x2
-            f2 = a20 * x0 + a21 * x1 + a22 * x2
+            mb, mc = m * x1, m * x2
+            f0 = big * x0 + h * x1 + mc
+            f1 = h * x0 + mb + mc
+            f2 = p * x0 + mb
             phi = x0 * f0 + x1 * f1 + x2 * f2
             return x0 * (f0 - phi), x1 * (f1 - phi), x2 * (f2 - phi)
         return velocity
@@ -301,14 +325,16 @@ def _scalar_field(payoff, mu):
     keep, move = 1.0 - mu, mu / 2.0
 
     def velocity(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
-        g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
-        g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
-        g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
+        mb, mc = m * x1, m * x2
+        g0 = x0 * (big * x0 + h * x1 + mc)
+        g1 = x1 * (h * x0 + mb + mc)
+        g2 = x2 * (p * x0 + mb)
         phi = g0 + g1 + g2
+        w0, w1, w2 = move * g0, move * g1, move * g2
         return (
-            keep * g0 + move * g1 + move * g2 - x0 * phi,
-            move * g0 + keep * g1 + move * g2 - x1 * phi,
-            move * g0 + move * g1 + keep * g2 - x2 * phi,
+            keep * g0 + w1 + w2 - x0 * phi,
+            w0 + keep * g1 + w2 - x1 * phi,
+            w0 + w1 + keep * g2 - x2 * phi,
         )
     return velocity
 
@@ -346,28 +372,30 @@ def integrate(
     products. The states go into an ``array('d')`` that grows with the run,
     at most to the horizon's size; the trajectory of a run to ``t_end`` holds
     that buffer, uncopied, and a run that stops early holds a copy of its
-    rows, so that it does not keep the larger buffer alive. A horizon whose
-    states would not fit in the machine's memory raises MemoryError before
-    the first step.
+    rows, so that it does not keep the larger buffer alive. Without
+    ``converge_tol``, a horizon whose states would not fit in the machine's
+    memory raises MemoryError before the first step; with it, a run raises
+    MemoryError only when its buffer would grow past that memory, so a run
+    that converges first ends as any other.
 
-    With ``keep_states=False`` the loop writes every state into the same
-    three floats, and the trajectory holds only the last state and its time,
-    the same as the full run's, bit for bit; its ``len()`` still counts every
-    state of the run. Memory then stays constant at any horizon.
+    With ``keep_states=False`` the loop writes only the last state, and the
+    trajectory holds only that state and its time, the same as the full
+    run's, bit for bit; its ``len()`` still counts every state of the run.
+    Memory then stays constant at any horizon.
     """
     n_steps = horizon_steps(dt, t_end)
     game = flow(params, mu)
-    if keep_states and 24 * (n_steps + 1) > _memory_bytes():
+    if keep_states and converge_tol is None and 24 * (n_steps + 1) > _memory_bytes():
         raise MemoryError(f"keeping the {n_steps + 1} states of the run takes "
                           f"{24 * (n_steps + 1)} bytes, more than this machine has")
     # No velocity is below -1, so without converge_tol the run never stops early.
     stop = -1.0 if converge_tol is None else converge_tol
-    # State k goes to out[stride * k:]; with stride 0 each state overwrites the last.
+    # State k goes to out[stride * k:]; with stride 0 only the last is written.
     stride, out = (3 if keep_states else 0), array("d", x0.shares)
     if game.mu == 0.0:
-        last = _replicator_steps(out, x0.shares, game.rows, dt, n_steps, stop, stride)
+        last = _replicator_steps(out, game.entries, dt, n_steps, stop, stride)
     else:
-        last = _mutator_steps(out, x0.shares, game.rows, game.mu, dt, n_steps, stop, stride)
+        last = _mutator_steps(out, game.entries, game.mu, dt, n_steps, stop, stride)
     if len(out) > stride * last + 3:  # a run that stopped early keeps a copy of its rows
         out = out[: stride * last + 3]
     return Trajectory._adopt(params, float(mu), float(dt), last, out)
@@ -384,8 +412,14 @@ def _memory_bytes() -> float:
 
 def _grow(out: array, size: int) -> None:
     """Double the floats of ``out``, a kept run's full buffer, but to no more
-    than ``size``, with zeros that the next states overwrite."""
-    out.frombytes(bytes(8 * min(len(out), size - len(out))))
+    than ``size``, with zeros that the next states overwrite. A buffer that
+    would exceed the machine's memory raises MemoryError before it is
+    allocated."""
+    grown = len(out) + min(len(out), size - len(out))
+    if 8 * grown > _memory_bytes():
+        raise MemoryError(f"keeping the first {grown // 3} states of the run takes "
+                          f"{8 * grown} bytes, more than this machine has")
+    out.frombytes(bytes(8 * (grown - len(out))))
 
 
 # The two loops below are one RK4 scheme: stages, simplex check, projection,
@@ -396,51 +430,69 @@ def _grow(out: array, size: int) -> None:
 # fifth of a step. In each loop, (a, b, c) is the stored state and k1 the
 # field there, which is both the convergence test and the next step's first
 # stage.
+#
+# The field reads the deposit game's four numbers (P, h, m, p), six products
+# an evaluation where the rows' sums a_i0 x0 + a_i1 x1 + a_i2 x2 take nine,
+# and keeps their bits. Shared products: the rows' equal entries are the
+# same float, so m x1 and m x2 are computed once and used by every sum that
+# held them, in the same order (as is each move g_j at mu > 0). Dropped zero
+# product: a22 x2 = 0 * x2 is a zero, and adding it to p x0 + m x1 can change
+# only the sign of a zero sum. A zero's sign changes no nonzero result of a
+# product or sum, only the sign of a zero one, and the clamp turns every zero
+# share of a stored state into 0.0, so every state keeps its bits. A run
+# that keeps only its endpoint (stride 0) writes its state into out once, at
+# its return, and the projection skips / s where s is exactly 1.0.
 
 
-def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
-    """RK4 steps of the replicator form x_i (f_i - phi) from ``x``, state k
-    written into the three floats of the ``array('d')`` ``out`` from
-    ``stride * k`` on (state 0 is ``x``): stride 0 keeps only the last state,
-    and stride 3 every state, ``out`` growing as they fill it (:func:`_grow`).
-    Returns the index of the last state written."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
+def _replicator_steps(out, entries, dt, n_steps, stop, stride) -> int:
+    """RK4 steps of the replicator form x_i (f_i - phi), for the game of
+    ``entries`` (P, h, m, p), from state 0, the three floats that ``out``, an
+    ``array('d')``, holds on entry. State k is written into the three floats
+    of ``out`` from ``stride * k`` on: stride 3 writes every state, ``out``
+    growing as they fill it (:func:`_grow`), and stride 0 only the last, at
+    the return. ``n_steps`` is at least 1. Returns the index of the last
+    state."""
+    big, h, m, p = entries
     tol = SIMPLEX_STEP_TOL
-    low = -tol
+    low, under = -tol, -stop
     rise = abs(stop) ** 0.5
     half = 0.5 * dt
     sixth = dt / 6.0
-    a, b, c = x
-    out[0], out[1], out[2] = a, b, c
-    f0 = a00 * a + a01 * b + a02 * c
-    f1 = a10 * a + a11 * b + a12 * c
-    f2 = a20 * a + a21 * b + a22 * c
+    a, b, c = out
+    mb, mc = m * b, m * c
+    f0 = big * a + h * b + mc
+    f1 = h * a + mb + mc
+    f2 = p * a + mb
     phi = a * f0 + b * f1 + c * f2
     k1a, k1b, k1c = a * (f0 - phi), b * (f1 - phi), c * (f2 - phi)
     for k in range(1, n_steps + 1):
         x0, x1, x2 = a + half * k1a, b + half * k1b, c + half * k1c
-        f0 = a00 * x0 + a01 * x1 + a02 * x2
-        f1 = a10 * x0 + a11 * x1 + a12 * x2
-        f2 = a20 * x0 + a21 * x1 + a22 * x2
+        mb, mc = m * x1, m * x2
+        f0 = big * x0 + h * x1 + mc
+        f1 = h * x0 + mb + mc
+        f2 = p * x0 + mb
         phi = x0 * f0 + x1 * f1 + x2 * f2
         k2a, k2b, k2c = x0 * (f0 - phi), x1 * (f1 - phi), x2 * (f2 - phi)
         x0, x1, x2 = a + half * k2a, b + half * k2b, c + half * k2c
-        f0 = a00 * x0 + a01 * x1 + a02 * x2
-        f1 = a10 * x0 + a11 * x1 + a12 * x2
-        f2 = a20 * x0 + a21 * x1 + a22 * x2
+        mb, mc = m * x1, m * x2
+        f0 = big * x0 + h * x1 + mc
+        f1 = h * x0 + mb + mc
+        f2 = p * x0 + mb
         phi = x0 * f0 + x1 * f1 + x2 * f2
         k3a, k3b, k3c = x0 * (f0 - phi), x1 * (f1 - phi), x2 * (f2 - phi)
         x0, x1, x2 = a + dt * k3a, b + dt * k3b, c + dt * k3c
-        f0 = a00 * x0 + a01 * x1 + a02 * x2
-        f1 = a10 * x0 + a11 * x1 + a12 * x2
-        f2 = a20 * x0 + a21 * x1 + a22 * x2
+        mb, mc = m * x1, m * x2
+        f0 = big * x0 + h * x1 + mc
+        f1 = h * x0 + mb + mc
+        f2 = p * x0 + mb
         phi = x0 * f0 + x1 * f1 + x2 * f2
         a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + x0 * (f0 - phi))
         b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + x1 * (f1 - phi))
         c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + x2 * (f2 - phi))
         s = a + b + c
-        # Written as the accepting test, so that a NaN or infinite state fails it.
-        if not (a >= low and b >= low and c >= low and abs(s - 1.0) <= tol):
+        # Written as the accepting test, so that a NaN or infinite state fails
+        # it; low <= s - 1.0 <= tol is abs(s - 1.0) <= tol without the call.
+        if not (a >= low and b >= low and c >= low and low <= s - 1.0 <= tol):
             raise StepSizeError(f"state left the simplex at t={k * dt:.6g}; dt={dt} is too large")
         # Only a state off the open simplex is clamped and summed again; the
         # test is > so that a -0.0 share is clamped to 0.0 too.
@@ -449,99 +501,118 @@ def _replicator_steps(out, x, payoff, dt, n_steps, stop, stride) -> int:
             b = b if b > 0.0 else 0.0
             c = c if c > 0.0 else 0.0
             s = a + b + c
-        a /= s
-        b /= s
-        c /= s
-        i = stride * k
-        try:
-            out[i], out[i + 1], out[i + 2] = a, b, c
-        except IndexError:  # a kept run's buffer is full
-            _grow(out, 3 * n_steps + 3)
-            out[i], out[i + 1], out[i + 2] = a, b, c
-        f0 = a00 * a + a01 * b + a02 * c
-        f1 = a10 * a + a11 * b + a12 * c
-        f2 = a20 * a + a21 * b + a22 * c
+        if s != 1.0:
+            a /= s
+            b /= s
+            c /= s
+        if stride:
+            i = stride * k
+            try:
+                out[i], out[i + 1], out[i + 2] = a, b, c
+            except IndexError:  # a kept run's buffer is full
+                _grow(out, 3 * n_steps + 3)
+                out[i], out[i + 1], out[i + 2] = a, b, c
+        mb, mc = m * b, m * c
+        f0 = big * a + h * b + mc
+        f1 = h * a + mb + mc
+        f2 = p * a + mb
         phi = a * f0 + b * f1 + c * f2
         k1a, k1b, k1c = a * (f0 - phi), b * (f1 - phi), c * (f2 - phi)
-        # NaN compares False, so a non-finite field never counts as converged.
-        if abs(k1a) < stop and abs(k1b) < stop and abs(k1c) < stop:
+        # under < v < stop is abs(v) < stop without the call. NaN compares
+        # False, so a non-finite field never counts as converged.
+        if under < k1a < stop and under < k1b < stop and under < k1c < stop:
             # A present share growing faster than rise holds the stop off.
             if not (a > 0.0 and f0 - phi > rise or b > 0.0 and f1 - phi > rise
                     or c > 0.0 and f2 - phi > rise):
-                return k
-    return n_steps
+                break
+    i = stride * k
+    out[i], out[i + 1], out[i + 2] = a, b, c
+    return k
 
 
-def _mutator_steps(out, x, payoff, mu, dt, n_steps, stop, stride) -> int:
+def _mutator_steps(out, entries, mu, dt, n_steps, stop, stride) -> int:
     """:func:`_replicator_steps` for the replicator-mutator form of the rate
     ``mu`` > 0, keep g_i + move g_j + move g_k - x_i phi (:func:`_scalar_field`)."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
+    big, h, m, p = entries
     keep, move = 1.0 - mu, mu / 2.0
     tol = SIMPLEX_STEP_TOL
-    low = -tol
+    low, under = -tol, -stop
     half = 0.5 * dt
     sixth = dt / 6.0
-    a, b, c = x
-    out[0], out[1], out[2] = a, b, c
-    g0 = a * (a00 * a + a01 * b + a02 * c)
-    g1 = b * (a10 * a + a11 * b + a12 * c)
-    g2 = c * (a20 * a + a21 * b + a22 * c)
+    a, b, c = out
+    mb, mc = m * b, m * c
+    g0 = a * (big * a + h * b + mc)
+    g1 = b * (h * a + mb + mc)
+    g2 = c * (p * a + mb)
     phi = g0 + g1 + g2
-    k1a = keep * g0 + move * g1 + move * g2 - a * phi
-    k1b = move * g0 + keep * g1 + move * g2 - b * phi
-    k1c = move * g0 + move * g1 + keep * g2 - c * phi
+    w0, w1, w2 = move * g0, move * g1, move * g2
+    k1a = keep * g0 + w1 + w2 - a * phi
+    k1b = w0 + keep * g1 + w2 - b * phi
+    k1c = w0 + w1 + keep * g2 - c * phi
     for k in range(1, n_steps + 1):
         x0, x1, x2 = a + half * k1a, b + half * k1b, c + half * k1c
-        g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
-        g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
-        g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
+        mb, mc = m * x1, m * x2
+        g0 = x0 * (big * x0 + h * x1 + mc)
+        g1 = x1 * (h * x0 + mb + mc)
+        g2 = x2 * (p * x0 + mb)
         phi = g0 + g1 + g2
-        k2a = keep * g0 + move * g1 + move * g2 - x0 * phi
-        k2b = move * g0 + keep * g1 + move * g2 - x1 * phi
-        k2c = move * g0 + move * g1 + keep * g2 - x2 * phi
+        w0, w1, w2 = move * g0, move * g1, move * g2
+        k2a = keep * g0 + w1 + w2 - x0 * phi
+        k2b = w0 + keep * g1 + w2 - x1 * phi
+        k2c = w0 + w1 + keep * g2 - x2 * phi
         x0, x1, x2 = a + half * k2a, b + half * k2b, c + half * k2c
-        g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
-        g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
-        g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
+        mb, mc = m * x1, m * x2
+        g0 = x0 * (big * x0 + h * x1 + mc)
+        g1 = x1 * (h * x0 + mb + mc)
+        g2 = x2 * (p * x0 + mb)
         phi = g0 + g1 + g2
-        k3a = keep * g0 + move * g1 + move * g2 - x0 * phi
-        k3b = move * g0 + keep * g1 + move * g2 - x1 * phi
-        k3c = move * g0 + move * g1 + keep * g2 - x2 * phi
+        w0, w1, w2 = move * g0, move * g1, move * g2
+        k3a = keep * g0 + w1 + w2 - x0 * phi
+        k3b = w0 + keep * g1 + w2 - x1 * phi
+        k3c = w0 + w1 + keep * g2 - x2 * phi
         x0, x1, x2 = a + dt * k3a, b + dt * k3b, c + dt * k3c
-        g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
-        g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
-        g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
+        mb, mc = m * x1, m * x2
+        g0 = x0 * (big * x0 + h * x1 + mc)
+        g1 = x1 * (h * x0 + mb + mc)
+        g2 = x2 * (p * x0 + mb)
         phi = g0 + g1 + g2
-        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + (keep * g0 + move * g1 + move * g2 - x0 * phi))
-        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + (move * g0 + keep * g1 + move * g2 - x1 * phi))
-        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + (move * g0 + move * g1 + keep * g2 - x2 * phi))
+        w0, w1, w2 = move * g0, move * g1, move * g2
+        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + (keep * g0 + w1 + w2 - x0 * phi))
+        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + (w0 + keep * g1 + w2 - x1 * phi))
+        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + (w0 + w1 + keep * g2 - x2 * phi))
         s = a + b + c
-        if not (a >= low and b >= low and c >= low and abs(s - 1.0) <= tol):
+        if not (a >= low and b >= low and c >= low and low <= s - 1.0 <= tol):
             raise StepSizeError(f"state left the simplex at t={k * dt:.6g}; dt={dt} is too large")
         if not (a > 0.0 and b > 0.0 and c > 0.0):
             a = a if a > 0.0 else 0.0
             b = b if b > 0.0 else 0.0
             c = c if c > 0.0 else 0.0
             s = a + b + c
-        a /= s
-        b /= s
-        c /= s
-        i = stride * k
-        try:
-            out[i], out[i + 1], out[i + 2] = a, b, c
-        except IndexError:  # a kept run's buffer is full
-            _grow(out, 3 * n_steps + 3)
-            out[i], out[i + 1], out[i + 2] = a, b, c
-        g0 = a * (a00 * a + a01 * b + a02 * c)
-        g1 = b * (a10 * a + a11 * b + a12 * c)
-        g2 = c * (a20 * a + a21 * b + a22 * c)
+        if s != 1.0:
+            a /= s
+            b /= s
+            c /= s
+        if stride:
+            i = stride * k
+            try:
+                out[i], out[i + 1], out[i + 2] = a, b, c
+            except IndexError:  # a kept run's buffer is full
+                _grow(out, 3 * n_steps + 3)
+                out[i], out[i + 1], out[i + 2] = a, b, c
+        mb, mc = m * b, m * c
+        g0 = a * (big * a + h * b + mc)
+        g1 = b * (h * a + mb + mc)
+        g2 = c * (p * a + mb)
         phi = g0 + g1 + g2
-        k1a = keep * g0 + move * g1 + move * g2 - a * phi
-        k1b = move * g0 + keep * g1 + move * g2 - b * phi
-        k1c = move * g0 + move * g1 + keep * g2 - c * phi
-        if abs(k1a) < stop and abs(k1b) < stop and abs(k1c) < stop:
-            return k
-    return n_steps
+        w0, w1, w2 = move * g0, move * g1, move * g2
+        k1a = keep * g0 + w1 + w2 - a * phi
+        k1b = w0 + keep * g1 + w2 - b * phi
+        k1c = w0 + w1 + keep * g2 - c * phi
+        if under < k1a < stop and under < k1b < stop and under < k1c < stop:
+            break
+    i = stride * k
+    out[i], out[i + 1], out[i + 2] = a, b, c
+    return k
 
 
 def trajectory_phi(traj: Trajectory) -> np.ndarray:
@@ -549,14 +620,15 @@ def trajectory_phi(traj: Trajectory) -> np.ndarray:
     (:func:`_phis`): the phi that the trajectory writers print."""
     import numpy as np
 
-    return np.array(_phis(flow(traj.params, traj.mu).rows, traj._flat))
+    return np.array(_phis(flow(traj.params, traj.mu).entries, traj._flat))
 
 
-def _phis(payoff, flat) -> list[float]:
-    """phi = x0 f0 + x1 f1 + x2 f2 with f_i = a_i0 x0 + a_i1 x1 + a_i2 x2, each
-    sum left to right, from the rows of ``payoff``, at each state of the
-    floats ``flat``, three a state."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = payoff
+def _phis(entries, flat) -> list[float]:
+    """phi = x0 f0 + x1 f1 + x2 f2, with the fitnesses of :func:`_scalar_field`
+    for the game of ``entries`` (P, h, m, p), each sum left to right, at each
+    state of the floats ``flat``, three a state."""
+    big, h, m, p = entries
     it = iter(flat)
-    return [a * (a00 * a + a01 * b + a02 * c) + b * (a10 * a + a11 * b + a12 * c)
-            + c * (a20 * a + a21 * b + a22 * c) for a, b, c in zip(it, it, it)]
+    # mc := m * c is bound in f0 and mb := m * b in f1, before the later use.
+    return [a * (big * a + h * b + (mc := m * c)) + b * (h * a + (mb := m * b) + mc)
+            + c * (p * a + mb) for a, b, c in zip(it, it, it)]

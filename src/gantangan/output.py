@@ -120,14 +120,14 @@ def _trajectory_blocks(traj: Trajectory, *lead: int) -> Iterator[list[tuple]]:
     ``_BLOCK_ROWS``, computed on the floats of the stored states: t = k dt
     (or the constructor's times), u = x_beta + x_gamma / 2, v = (sqrt(3)/2)
     x_gamma and phi, each value + 0.0, which turns -0.0 into 0.0."""
-    payoff, flat, dt, given = flow(traj.params, traj.mu).rows, traj._flat, traj.dt, traj._times
+    entries, flat, dt, given = flow(traj.params, traj.mu).entries, traj._flat, traj.dt, traj._times
     for start in range(0, len(traj), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(traj))
         block = flat[3 * start:3 * stop]
         times = [k * dt for k in range(start, stop)] if given is None else given[start:stop]
         it = iter(block)
         yield [(*lead, t + 0.0, a + 0.0, b + 0.0, c + 0.0, b + 0.5 * c + 0.0, _SQRT3_2 * c + 0.0,
-                phi + 0.0) for t, a, b, c, phi in zip(times, it, it, it, _phis(payoff, block))]
+                phi + 0.0) for t, a, b, c, phi in zip(times, it, it, it, _phis(entries, block))]
 
 
 def _check_rows(traj: Trajectory) -> None:

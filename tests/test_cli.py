@@ -42,6 +42,7 @@ from gantangan.cli import (
     main,
     parse_args,
 )
+from gantangan import dynamics
 from gantangan.dynamics import Trajectory, flow, uniform_kernel
 from gantangan.equilibria import FixedPointReport, SweepCell
 from gantangan.game import build_payoff
@@ -657,13 +658,12 @@ def test_overflowing_step_is_domain_error(capsys, argv):
     "argv",
     [
         ["simulate", "--p-es", "2", "--m-ss", "1", "--t-end", "1e12"],
-        ["portrait", "--p-es", "2", "--m-ss", "1", "--t-end", "1e12", "--seeds", "1"],
     ],
 )
 def test_horizon_too_long_to_store_is_domain_error(capsys, argv):
     # 1e14 steps need 2.1 PiB to keep their states, more than any machine
-    # has: the run fails before its first step, and the process's peak
-    # resident memory (KiB) does not grow.
+    # has: a run without a convergence test fails before its first step, and
+    # the process's peak resident memory (KiB) does not grow.
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     code = main(argv)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024
@@ -671,6 +671,31 @@ def test_horizon_too_long_to_store_is_domain_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_converging_portrait_runs_past_a_horizon_too_long_to_store(capsys):
+    # The same 1e14-step horizon, but portrait's run stops once it converges,
+    # within a few thousand steps, so it keeps only those rows.
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    code = main(["portrait", "--p-es", "2", "--m-ss", "1", "--t-end", "1e12", "--seeds", "1"])
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert 2 < len(captured.out.splitlines()) < 5_000
+
+
+@pytest.mark.parametrize("mu", ["0", "0.01"])
+def test_converging_run_that_outgrows_memory_is_domain_error(capsys, monkeypatch, mu):
+    # On a machine of 2,400 bytes the run's buffer passes memory at 128
+    # states, long before it converges: it stops there with exit 3.
+    monkeypatch.setattr(dynamics, "_memory_bytes", lambda: 2_400)
+    argv = ["portrait", "--p-es", "2", "--m-ss", "1", "--mu", mu, "--t-end", "1e12", "--seeds", "1"]
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not enough memory: keeping the first 128 states")
+    assert "Traceback" not in captured.err
 
 
 def _listing(argv: list[str]) -> list[tuple[str, str]]:

@@ -26,7 +26,7 @@ from gantangan import (
 from gantangan import dynamics
 from gantangan.cli import emit_trajectory
 from gantangan.dynamics import (
-    FLOW_CACHE_SIZE, SIMPLEX_STEP_TOL, _scalar_field, flow, horizon_steps,
+    FLOW_CACHE_SIZE, SIMPLEX_STEP_TOL, Flow, flow, horizon_steps,
 )
 
 from reference import direct_velocity, euler_endpoint
@@ -138,13 +138,85 @@ def test_integrator_field_matches_oracle_and_numpy_field():
             (rate, replicator_mutator_field(x, a, uniform_kernel(rate).q)),
             (0.0, replicator_field(x, a)),
         ):
-            got = np.array(_scalar_field(a.tolist(), mu)(*x.tolist()))
+            got = np.array(Flow(a.tolist(), mu).velocity(*x.tolist()))
             want = direct_velocity(x.tolist(), a.tolist(), uniform_kernel(mu).q.tolist())
             assert np.max(np.abs(got - want)) <= 1e-12
             # The numpy products may round in another order. Rounding scales
             # with the fitness terms, not the field, which cancels near rest
             # points: the gap reached 1.3e-14 of the field's max-norm.
             assert np.max(np.abs(got - numpy_field)) <= 1e-15 * np.max(np.abs(a @ x))
+
+
+def _nine_product_field(rows, mu):
+    """The field of the general 3x3 payoff ``rows`` on floats, with all nine
+    products a_ij x_j (a22 x2 included), each sum left to right: the
+    engine's field before it read the deposit game's four numbers."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    if mu == 0.0:
+        def velocity(x0, x1, x2):
+            f0 = a00 * x0 + a01 * x1 + a02 * x2
+            f1 = a10 * x0 + a11 * x1 + a12 * x2
+            f2 = a20 * x0 + a21 * x1 + a22 * x2
+            phi = x0 * f0 + x1 * f1 + x2 * f2
+            return x0 * (f0 - phi), x1 * (f1 - phi), x2 * (f2 - phi)
+        return velocity
+
+    keep, move = 1.0 - mu, mu / 2.0
+
+    def velocity(x0, x1, x2):
+        g0 = x0 * (a00 * x0 + a01 * x1 + a02 * x2)
+        g1 = x1 * (a10 * x0 + a11 * x1 + a12 * x2)
+        g2 = x2 * (a20 * x0 + a21 * x1 + a22 * x2)
+        phi = g0 + g1 + g2
+        return (
+            keep * g0 + move * g1 + move * g2 - x0 * phi,
+            move * g0 + keep * g1 + move * g2 - x1 * phi,
+            move * g0 + move * g1 + keep * g2 - x2 * phi,
+        )
+    return velocity
+
+
+_share = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+_offset = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(p=st.floats(1e-3, 1e3), m=st.floats(1e-3, 1e3), n=st.floats(1e-3, 1e3),
+       mu=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_min=True)),
+       weights=st.tuples(_share, _share, _share).filter(lambda w: sum(w) > 0.0),
+       offsets=st.tuples(_offset, _offset, _offset))
+@example(p=2.0, m=1.0, n=1.0, mu=0.0, weights=(-0.0, -0.0, 1.0), offsets=(0.0, 0.0, 0.0))
+@example(p=2.0, m=1.0, n=1.0, mu=0.05, weights=(-0.0, -0.0, 1.0), offsets=(0.0, 0.0, 0.0))
+@example(p=2.0, m=1.0, n=1.0, mu=0.05, weights=(-0.0, 5e-324, 1.0), offsets=(0.0, 0.0, 0.0))
+@example(p=2.0, m=1.0, n=1.0, mu=0.05, weights=(0.5, -0.0, 0.5), offsets=(0.0, 0.0, 0.0))
+@example(p=1.0, m=3.0, n=1.0, mu=0.0, weights=(1.0, -0.0, 0.0), offsets=(0.0, 0.0, 0.0))
+@example(p=1.0, m=3.0, n=1.0, mu=0.3, weights=(0.0, 1.0, 0.0), offsets=(-1e-7, 0.0, 2e-7))
+def test_velocity_keeps_the_bits_of_the_nine_product_field(p, m, n, mu, weights, offsets):
+    # Flow.velocity reads the four numbers (P, h, m, p), shares m x_beta and
+    # m x_gamma and drops 0 * x_gamma: at every state, on the simplex's
+    # vertices and edges (shares of -0.0 and 5e-324 too) and at stage-like
+    # states up to 1e-6 outside it, each component has the bits of the
+    # nine-product field, but for the sign of a zero. Adding the dropped zero
+    # product to -0.0 makes 0.0 (at mu > 0, at the gamma vertex with -0.0
+    # shares, the other two components come out -0.0 instead of 0.0).
+    total = sum(weights)
+    x = tuple(w / total + d if d else w / total for w, d in zip(weights, offsets))
+    game = flow(GantanganParams(p, m, n), mu)
+    got, want = game.velocity(*x), _nine_product_field(game.rows, game.mu)(*x)
+    for g, w in zip(got, want):
+        assert g.hex() == w.hex() or g == w == 0.0, (x, got, want)
+
+
+@pytest.mark.parametrize("rows", [
+    ((3.0, 1.5, 1.0), (1.5, 1.0, 1.0), (2.0, 1.0, 1e-300)),
+    ((3.0, 1.5, 1.0), (1.5, 1.0, 1.0000000000000002), (2.0, 1.0, 0.0)),
+    ((3.0, 1.5, 1.0), (1.25, 1.0, 1.0), (2.0, 1.0, 0.0)),
+    ((3.0, 1.5, 1.0), (1.5, 1.0, 1.0), (2.0, 0.5, 0.0)),
+    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+])
+def test_flow_rejects_rows_without_the_four_numbers(rows):
+    with pytest.raises(ValueError, match=r"^payoff rows must be \(\(P, h, m\), \(h, m, m\)"):
+        Flow(rows, 0.0)
 
 
 # ------------------------------------------------------------------- flow
@@ -416,10 +488,10 @@ def test_early_stop_is_a_prefix_of_the_full_run(p, m, mu, weights, dt, steps, to
     assert np.array_equal(stopped.times, full.times[: len(stopped)])
 
 
-def _rk4_over_velocity(x0, params, mu, dt, t_end, converge_tol):
-    """The RK4 loop of integrate, stepping on calls to Flow.velocity."""
+def _rk4_over_velocity(velocity, x0, params, mu, dt, t_end, converge_tol):
+    """The RK4 loop of integrate, stepping on calls to ``velocity``, a field
+    of the flow of ``params`` and ``mu``."""
     game = flow(params, mu)
-    velocity = game.velocity
     stop = -1.0 if converge_tol is None else converge_tol
     half, sixth, tol = 0.5 * dt, dt / 6.0, SIMPLEX_STEP_TOL
     x = tuple(x0.x.tolist())
@@ -475,7 +547,7 @@ def test_integrate_is_rk4_over_the_flow_velocity(p, m, mu, weights, dt, n, dt_bi
     dt = 0.5 if dt_big else dt
     args = (_start(weights), GantanganParams(p, m, n), mu, dt, steps * dt)
     try:
-        want = _rk4_over_velocity(*args, tol)
+        want = _rk4_over_velocity(flow(*args[1:3]).velocity, *args, tol)
     except StepSizeError as err:
         with pytest.raises(StepSizeError, match=f"^{re.escape(str(err))}$"):
             integrate(*args, converge_tol=tol)
@@ -483,6 +555,40 @@ def test_integrate_is_rk4_over_the_flow_velocity(p, m, mu, weights, dt, n, dt_bi
     got = integrate(*args, converge_tol=tol)
     assert got.states.tobytes() == want.tobytes()
     assert got.times.tobytes() == (dt * np.arange(len(want))).tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(**{**_flows, "mu": st.one_of(st.just(0.0), st.floats(0.0, 0.9))},
+       n=st.floats(0.1, 10.0), dt_big=st.booleans(), steps=st.integers(1, 250),
+       tol=st.sampled_from([None, 1e-10, 1e-4, 1e-2]), keep=st.booleans())
+# A start whose -0.0 shares give the four-number field a zero of the other
+# sign at mu > 0 (see test_velocity_keeps_the_bits_of_the_nine_product_field).
+@example(p=2.0, m=1.0, mu=0.05, weights=(-0.0, -0.0, 1.0), dt=0.01, n=1.0, dt_big=False,
+         steps=20, tol=None, keep=True)
+@example(p=2.0, m=1.0, mu=0.0, weights=(-0.0, -0.0, 1.0), dt=0.01, n=1.0, dt_big=False,
+         steps=20, tol=1e-10, keep=False)
+@example(p=2.0, m=1.0, mu=0.05, weights=(-0.0, 0.5, 0.5), dt=0.01, n=1.0, dt_big=False,
+         steps=20, tol=None, keep=False)
+@example(p=1.0, m=1.0, mu=0.0, weights=(0.0, 5e-324, 1.0), dt=0.01, n=1.0, dt_big=False,
+         steps=2, tol=1e-10, keep=True)
+def test_integrate_keeps_the_bits_of_the_nine_product_field(p, m, mu, weights, dt, n, dt_big,
+                                                             steps, tol, keep):
+    # The loops read four numbers and share m x_beta and m x_gamma; their
+    # states must be those of the RK4 loop over the general 3x3 field, bit
+    # for bit, kept or endpoint only, with and without the convergence test.
+    dt = 0.5 if dt_big else dt
+    args = (_start(weights), GantanganParams(p, m, n), mu, dt, steps * dt)
+    game = flow(*args[1:3])
+    nine = _nine_product_field(game.rows, game.mu)
+    try:
+        want = _rk4_over_velocity(nine, *args, tol)
+    except StepSizeError as err:
+        with pytest.raises(StepSizeError, match=f"^{re.escape(str(err))}$"):
+            integrate(*args, converge_tol=tol, keep_states=keep)
+        return
+    got = integrate(*args, converge_tol=tol, keep_states=keep)
+    assert len(got) == len(want)
+    assert got.states.tobytes() == (want if keep else want[-1:]).tobytes()
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -494,9 +600,26 @@ def test_integrate_is_rk4_over_the_flow_velocity(p, m, mu, weights, dt, n, dt_bi
          tol=1e-2)
 @example(p=10.0, m=10.0, mu=0.05, weights=(1.0, 1.0, 1.0), dt=0.02, dt_big=False, steps=250,
          tol=1e-2)
+# Runs that stop at step 1, next to the alpha vertex.
+@example(p=1.0, m=1.0, mu=0.0, weights=(1.0, 0.0, 0.0), dt=0.01, dt_big=False, steps=250,
+         tol=1e-2)
+@example(p=1.0, m=1.0, mu=1e-6, weights=(1.0, 0.0, 0.0), dt=0.01, dt_big=False, steps=250,
+         tol=1e-2)
+# Runs that hit their cap before they converge.
+@example(p=2.0, m=1.0, mu=0.0, weights=(1.0, 1.0, 1.0), dt=0.01, dt_big=False, steps=250,
+         tol=1e-10)
+@example(p=2.0, m=1.0, mu=0.05, weights=(1.0, 1.0, 1.0), dt=0.01, dt_big=False, steps=250,
+         tol=1e-10)
+# Runs whose first step leaves the simplex.
+@example(p=20.0, m=20.0, mu=0.0, weights=(1.0, 1.0, 1.0), dt=0.01, dt_big=True, steps=250,
+         tol=1e-10)
+@example(p=20.0, m=20.0, mu=0.05, weights=(1.0, 1.0, 1.0), dt=0.01, dt_big=True, steps=250,
+         tol=1e-10)
 def test_endpoint_run_is_the_full_runs_last_state(p, m, mu, weights, dt, dt_big, steps, tol):
-    # sweep keeps only each cell's endpoint; it must be the full run's, bit
-    # for bit, with the same count of states and the same error.
+    # sweep keeps only each cell's endpoint, which its loop writes into the
+    # three floats of its buffer once, at its return; it must be the full
+    # run's last state, bit for bit, with the same count of states and the
+    # same error.
     dt = 0.5 if dt_big else dt
     args = (_start(weights), GantanganParams(p, m), mu, dt, steps * dt)
     try:
@@ -507,6 +630,7 @@ def test_endpoint_run_is_the_full_runs_last_state(p, m, mu, weights, dt, dt_big,
         return
     end = integrate(*args, converge_tol=tol, keep_states=False)
     assert len(end) == len(full)
+    assert end._flat.tobytes() == full._flat[-3:].tobytes()
     assert end.states.tobytes() == full.states[-1:].tobytes()
     assert end.times.tobytes() == full.times[-1:].tobytes()
 

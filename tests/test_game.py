@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gantangan import (
     AttractorLabel,
@@ -24,6 +26,7 @@ from gantangan import (
     uniform_kernel,
 )
 from gantangan.dynamics import Flow, flow
+from gantangan.game import payoff_rows
 
 from reference import direct_average_fitness, direct_fitness
 
@@ -44,6 +47,25 @@ def test_build_payoff_substitution():
 def test_build_payoff_equal_gains_doubled_scale():
     a = build_payoff(GantanganParams(1, 1, 2))
     assert np.array_equal(a, [[4.0, 2.0, 2.0], [2.0, 2.0, 2.0], [2.0, 2.0, 0.0]])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(p=st.floats(1e-3, 1e3), m=st.floats(1e-3, 1e3), n=st.floats(1e-3, 1e3),
+       mu=st.floats(0.0, 0.9))
+def test_payoff_rows_hold_four_numbers(p, m, n, mu):
+    # ((P, h, m), (h, m, m), (p, m, 0)) with P = n (p + m), h = n (p + m) / 2,
+    # m = n m_ss and p = n p_es, equal entries the same float; the unit game
+    # rows / P keeps that, and Flow reads both.
+    rows = payoff_rows(GantanganParams(p, m, n))
+    big, h, ms, ps = n * (p + m), n * ((p + m) / 2.0), n * m, n * p
+    want = ((big, h, ms), (h, ms, ms), (ps, ms, 0.0))
+    assert [v.hex() for row in rows for v in row] == [v.hex() for row in want for v in row]
+    unit = tuple(tuple(v / big for v in row) for row in rows)
+    (ub, uh, um), (uh1, um1, um2), (up, um3, uz) = unit
+    assert uh1.hex() == uh.hex() and um1.hex() == um2.hex() == um3.hex() == um.hex()
+    assert uz.hex() == (0.0).hex()
+    assert Flow(rows, mu).entries == (big, h, ms, ps)
+    assert Flow(unit, mu).entries == (ub, uh, um, up)
 
 
 @pytest.mark.parametrize("p,m,n", [(0, 1, 1), (1, 0, 1), (2, 1, 0), (-1, 1, 1), (1, -2, 1), (1, 1, -0.5)])
