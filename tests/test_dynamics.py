@@ -591,6 +591,143 @@ def test_integrate_keeps_the_bits_of_the_nine_product_field(p, m, mu, weights, d
     assert got.states.tobytes() == (want if keep else want[-1:]).tobytes()
 
 
+def _guard(entries, dt, states):
+    """Which of ``states`` (rows a, b, c) pass the alpha-absorbed guard
+    b > 0 and a <= C b b of the mu = 0 loop, with its C."""
+    bound = dynamics._alpha_absorbed_bound(entries, dt)
+    a, b = states[:, 0], states[:, 1]
+    return (b > 0.0) & (a <= bound * b * b)
+
+
+# The capped sweep cell (test_capped_sweep_cell_endpoint), and its state at
+# t = 1400, 3,277 steps before x_alpha turns subnormal.
+_CAPPED = (PopulationState([0.0514, 0.9037, 0.0449]), GantanganParams(1.0012, 1.9881))
+_CAPPED_AT_1400 = (2.320663374820585e-301, 0.9996429727828444, 0.0003570272171556385)
+# C x_beta^2 at x_beta = 0.75 for the game (1, 2) at dt = 0.01: the largest
+# x_alpha that passes the guard there.
+_EDGE_BOUND = dynamics._alpha_absorbed_bound(
+    flow(GantanganParams(1.0, 2.0), 0.0).entries, 0.01) * 0.75 * 0.75
+_alpha = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]),
+                   st.floats(5e-324, 2.2250738585072014e-308),
+                   st.floats(-300.0, -12.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(p=st.floats(0.05, 20.0), m=st.floats(0.05, 20.0), n=st.floats(0.1, 10.0), alpha=_alpha,
+       beta=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+       dt_p=st.one_of(st.sampled_from([0.0625, 0.0626]), st.floats(0.005, 0.2)),
+       steps=st.integers(1, 250), tol=st.sampled_from([None, 1e-10]), keep=st.booleans())
+# x_alpha at C x_beta^2, which passes the guard, and one ulp above, which
+# passes it only after x_alpha has decayed.
+@example(p=1.0, m=2.0, n=1.0, alpha=_EDGE_BOUND, beta=0.75, dt_p=0.03, steps=50, tol=None,
+         keep=True)
+@example(p=1.0, m=2.0, n=1.0, alpha=np.nextafter(_EDGE_BOUND, 1.0), beta=0.75, dt_p=0.03,
+         steps=50, tol=1e-10, keep=True)
+# dt P on either side of the 1/16 that the branch needs.
+@example(p=1.0, m=3.0, n=1.0, alpha=1e-300, beta=0.75, dt_p=0.0625, steps=100, tol=None,
+         keep=False)
+@example(p=1.0, m=3.0, n=1.0, alpha=1e-300, beta=0.75, dt_p=0.0626, steps=100, tol=None,
+         keep=False)
+@example(p=3.0, m=1.0, n=1.0, alpha=5e-324, beta=0.5, dt_p=0.03, steps=250, tol=1e-10,
+         keep=True)
+def test_alpha_absorbed_steps_keep_the_bits_of_the_nine_product_field(p, m, n, alpha, beta, dt_p,
+                                                                     steps, tol, keep):
+    # Starts next to edge BG at mu = 0, where x_alpha is 0, -0.0 or tiny
+    # beside x_beta, take the loop's alpha-absorbed branch, which leaves out
+    # x_alpha's products in f0, f1, f2 and phi; its states must be those of
+    # the RK4 loop over the general 3x3 field, bit for bit.
+    params = GantanganParams(p, m, n)
+    dt = dt_p / flow(params, 0.0).entries[0]
+    args = (PopulationState((alpha, beta, 1.0 - beta)), params, 0.0, dt, steps * dt)
+    nine = _nine_product_field(flow(params, 0.0).rows, 0.0)
+    try:
+        want = _rk4_over_velocity(nine, *args, tol)
+    except StepSizeError as err:
+        with pytest.raises(StepSizeError, match=f"^{re.escape(str(err))}$"):
+            integrate(*args, converge_tol=tol, keep_states=keep)
+        return
+    got = integrate(*args, converge_tol=tol, keep_states=keep)
+    assert len(got) == len(want)
+    assert got.states.tobytes() == (want if keep else want[-1:]).tobytes()
+
+
+def test_capped_cell_keeps_the_bits_of_the_nine_product_field_through_the_subnormals():
+    # 10^4 steps of the capped cell from t = 1400, all in the alpha-absorbed
+    # branch: x_alpha turns subnormal at step 3,277, reaches 5e-322 at step
+    # 9,623 and stays there.
+    args = (PopulationState(_CAPPED_AT_1400), _CAPPED[1], 0.0, 0.01, 100.0)
+    want = _rk4_over_velocity(_nine_product_field(flow(*args[1:3]).rows, 0.0), *args, 1e-10)
+    assert len(want) == 10_001 and want[-1, 0] == 5e-322
+    assert 0.0 < want[3_277, 0] < np.finfo(float).tiny <= want[3_276, 0]
+    assert _guard(flow(*args[1:3]).entries, 0.01, want).all()
+    for tol in (None, 1e-10):
+        for keep in (True, False):
+            got = integrate(*args, converge_tol=tol, keep_states=keep)
+            assert got.states.tobytes() == (want if keep else want[-1:]).tobytes()
+
+
+def test_alpha_absorbed_guard_holds_on_the_capped_cell_and_never_on_a_growing_alpha():
+    # The branch must serve the run it was made for: every stored state of the
+    # capped sweep cell from t = 100 on passes the guard (x_alpha is below
+    # 1e-22 there). The trajectory workload's simulate-mu0 run (seed 1), where
+    # x_alpha grows, never does.
+    entries = flow(_CAPPED[1], 0.0).entries
+    capped = integrate(*_CAPPED, 0.0, 0.01, 2000.0, converge_tol=1e-10)
+    assert len(capped) == 200_001
+    assert _guard(entries, 0.01, capped.states[10_000:]).all()
+    assert capped.states[140_000].tolist() == list(_CAPPED_AT_1400)
+    grows = integrate(PopulationState([0.2866, 0.3522, 0.3612]), GantanganParams(2.0095, 1.0091),
+                      0.0, 0.01, 100.0)
+    assert not _guard(flow(grows.params, 0.0).entries, 0.01, grows.states).any()
+    # The edge example of the bit test sits at the guard's boundary; and a
+    # dt P above 1/16 takes no state into the branch.
+    edge = np.array([[_EDGE_BOUND, 0.75, 0.25], [np.nextafter(_EDGE_BOUND, 1.0), 0.75, 0.25]])
+    assert _guard(flow(GantanganParams(1.0, 2.0), 0.0).entries, 0.01, edge).tolist() == [True,
+                                                                                           False]
+    assert not _guard(entries, 0.0626 / entries[0], capped.states[10_000:]).any()
+
+
+@pytest.mark.parametrize("files, rlimit, want", [
+    ({}, None, 8 << 30),
+    ({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "1048576\n"}, None,
+     1 << 20),
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "2097152\n"}, None, 2 << 20),
+    ({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "max\n"}, None, 8 << 30),
+    ({"/proc/self/cgroup": "4:memory:/job\n", "/sys/fs/cgroup/job/memory.max": "1048576\n"}, None,
+     8 << 30),
+    ({"/proc/self/cgroup": "0::/job\n"}, None, 8 << 30),
+    ({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "4194304\n"}, 3 << 20,
+     3 << 20),
+    ({}, 16 << 30, 8 << 30),
+])
+def test_memory_bytes_is_the_least_limit_the_process_has(monkeypatch, files, rlimit, want):
+    # Physical memory of 8 GiB, a soft RLIMIT_AS and a cgroup v2 memory.max
+    # from fake files; no real limit or cgroup is touched.
+    import resource
+
+    pages = {"SC_PHYS_PAGES": 2 << 20, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(dynamics.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(dynamics, "_read_text", files.get)
+    soft = resource.RLIM_INFINITY if rlimit is None else rlimit
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
+    assert dynamics._memory_bytes() == want
+
+
+def test_kept_run_beyond_the_cgroup_limit_raises_memory_error(monkeypatch):
+    # A 1 MiB cgroup: 10^5 kept states (2.4 MB) are refused before the first
+    # step, and a run with converge_tol that does not converge (the capped
+    # cell) stops once its buffer would pass 1 MiB.
+    files = {"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "1048576\n"}
+    monkeypatch.setattr(dynamics, "_read_text", files.get)
+    args = (PopulationState.uniform(), GantanganParams(2, 1, 1), 0.0, 0.01)
+    with pytest.raises(MemoryError, match="^keeping the 100001 states of the run takes 2400024 "
+                                          "bytes, more than this process may use$"):
+        integrate(*args, 1000.0)
+    with pytest.raises(MemoryError, match="^keeping the first 65536 states"):
+        integrate(*_CAPPED, 0.0, 0.01, 1e12, converge_tol=1e-10)
+    assert len(integrate(*args, 1000.0, keep_states=False)) == 100_001
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(**{**_flows, "mu": st.one_of(st.just(0.0), st.floats(0.0, 0.9))},
        dt_big=st.booleans(), steps=st.integers(1, 250),
